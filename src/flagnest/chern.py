@@ -6,6 +6,14 @@ to be nonnegative; the full battery of those inequalities is strong enough
 to cut the integer factorizations of 1 - t^k into a pair of such vectors
 down to a handful of families, which is what the obstruction pipelines
 consume.
+
+`nef_feasible` evaluates all those minors of one vector in a single pass:
+each Jacobi-Trudi determinant is expanded along its first column into
+minors with one part fewer (Macdonald, Symmetric Functions and Hall
+Polynomials, ch. I), in exact ints for integral vectors, keeping only the
+nonzero minors of the previous length.  One negative minor refutes
+nefness (Fulton-Lazarsfeld 1983); the reported witness is recomputed as a
+direct Bareiss determinant by `schur_minor` and must agree.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .errors import InternalInconsistencyError, UnsupportedInputError
-from .exactpoly import UniPoly, exact_div, partitions
+from .exactpoly import UniPoly, exact_div
 
 Partition = Tuple[int, ...]
 
@@ -158,30 +166,89 @@ class NefResult:
 _NEF_CACHE: Dict[Tuple[Tuple[Fraction, ...], int], NefResult] = {}
 
 
+def _partitions_of_length(t: int, max_part: int, max_weight: int):
+    """Yield the partitions with exactly t parts, each at most `max_part`,
+    of weight at most `max_weight`, first part descending."""
+    if t == 0:
+        yield ()
+        return
+    for first in range(min(max_part, max_weight - (t - 1)), 0, -1):
+        for rest in _partitions_of_length(t - 1, first, max_weight - first):
+            yield (first,) + rest
+
+
+def _order_key(lam: Partition) -> Tuple[int, Tuple[int, ...]]:
+    """Weight ascending, then reverse lexicographic: the scan order of
+    `exactpoly.partitions` run over weights 1, 2, ..."""
+    return sum(lam), tuple(-p for p in lam)
+
+
 def nef_feasible(c: ChernVector) -> NefResult:
     """Check S_lam >= 0 for every partition lam of weight <= ambient_dim.
 
     Partitions with a part above the effective degree are skipped: their
     Schur matrix has an all-zero first row, so the minor vanishes exactly.
-    On failure the first violating partition (ascending weight) is reported
-    together with the offending value.
+
+    The minors come from one pass over partition length t = 1, 2, ...,
+    expanding each Jacobi-Trudi determinant along its first column:
+    S_lam = sum_k (-1)^k E_{lam_k - k} S_{lam^(k)} (0-based k), where
+    lam^(k) = (lam_0 + 1, ..., lam_{k-1} + 1, lam_{k+1}, ...) has t - 1
+    parts and, whenever E_{lam_k - k} is nonzero, weight <= |lam|.  Only
+    the nonzero minors of the previous length are kept, so memory is one
+    level, not every partition.  Integral vectors run in int arithmetic.
+
+    On failure the first violating partition in ascending weight (then the
+    reverse lexicographic order of `exactpoly.partitions`) is reported.
+    Its minor is recomputed as a direct determinant by `schur_minor`, which
+    must agree with the recursion, so every refutation is self-checking.
     """
     key = (c.entries, c.ambient_dim)
     hit = _NEF_CACHE.get(key)
     if hit is not None:
         return hit
     cap = c.effective_degree
-    result = NefResult(True)
-    done = False
-    for weight in range(1, c.ambient_dim + 1):
-        if done or cap == 0:
-            break
-        for lam in partitions(weight, max_part=cap):
-            val = schur_minor(c, lam)
-            if val < 0:
-                result = NefResult(False, lam, val)
-                done = True
-                break
+    entries = c.entries[: cap + 1]
+    e = [int(x) for x in entries] if c.integral else list(entries)
+    max_weight = c.ambient_dim if cap else 0
+    witness: Optional[Partition] = None
+    found = 0
+    prev = {(): 1}
+    t = 0
+    while t < max_weight:
+        t += 1
+        level = {}
+        for lam in _partitions_of_length(t, cap, max_weight):
+            val = 0
+            head: Partition = ()
+            sign = 1
+            for k in range(t):
+                i = lam[k] - k
+                if i < 0:
+                    break  # lam_k - k only decreases from here on
+                coeff = e[i]
+                if coeff:
+                    sub = prev.get(head + lam[k + 1 :])
+                    if sub:
+                        val += sign * coeff * sub
+                head += (lam[k] + 1,)
+                sign = -sign
+            if val:
+                level[lam] = val
+                if val < 0 and (witness is None or _order_key(lam) < _order_key(witness)):
+                    witness, found = lam, val
+        if witness is not None:
+            max_weight = sum(witness)
+        prev = level
+    if witness is None:
+        result = NefResult(True)
+    else:
+        direct = schur_minor(c, witness)
+        if direct != found or not direct < 0:
+            raise InternalInconsistencyError(
+                f"Schur minor of {c} at {partition_str(witness)}: recursion gave "
+                f"{found}, determinant gave {direct}"
+            )
+        result = NefResult(False, witness, direct)
     _NEF_CACHE[key] = result
     return result
 

@@ -6,7 +6,8 @@ presentation, verify a construction with seeded random trials, and self-check
 JSON; identical argv always produces identical bytes.
 
 Exit codes: 0 success, 1 a verification or self-check found a failure,
-2 unsupported mathematical input, 64 argv did not parse.
+2 unsupported mathematical input, 64 argv did not parse, 74 the output
+could not be written.
 """
 
 from __future__ import annotations
@@ -249,6 +250,8 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
         if ns.verb == "verify-construction" and ns.kind != "B3" and ns.n is None:
             parser.error(f"--n is required for kind {ns.kind}")
+        if ns.verb == "verify-construction" and ns.trials < 1:
+            parser.error(f"--trials must be at least 1, got {ns.trials}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -256,7 +259,12 @@ def main(argv=None) -> int:
     except UnsupportedInputError as exc:
         print(f"flagnest: unsupported input: {exc}", file=sys.stderr)
         return 2
-    _emit(text, ns.out)
+    try:
+        _emit(text, ns.out)
+    except OSError as exc:
+        target = "stdout" if ns.out is None else ns.out
+        print(f"flagnest: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return 74
     return code
 
 

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagnest import chern
 from flagnest.chern import (
     ChernVector,
+    NefResult,
     chern_from_poly,
     cyclotomic,
     factor_unit_minus_tk,
@@ -25,8 +27,8 @@ from flagnest.chern import (
     schur_minor,
     schwarzenberger_s33,
 )
-from flagnest.errors import UnsupportedInputError
-from flagnest.exactpoly import UniPoly
+from flagnest.errors import InternalInconsistencyError, UnsupportedInputError
+from flagnest.exactpoly import UniPoly, partitions
 
 
 # --- naive oracle -----------------------------------------------------------
@@ -148,6 +150,63 @@ def test_nef_witness_is_genuinely_negative():
     if not res.feasible:
         c = ChernVector((1, 3, 1, 2), 7)
         assert schur_minor(c, res.witness) == res.value < 0
+
+
+# --- one-pass kernel against the per-partition scan ----------------------------
+
+
+def scan_nef(c):
+    """Reference: one `schur_minor` determinant per partition, weight
+    ascending, in `exactpoly.partitions` order; the first negative wins."""
+    cap = c.effective_degree
+    if cap == 0:
+        return NefResult(True)
+    for weight in range(1, c.ambient_dim + 1):
+        for lam in partitions(weight, max_part=cap):
+            val = schur_minor(c, lam)
+            if val < 0:
+                return NefResult(False, lam, val)
+    return NefResult(True)
+
+
+@pytest.fixture
+def cold_nef(monkeypatch):
+    """nef_feasible with an empty cache, so the recursion really runs."""
+    monkeypatch.setattr(chern, "_NEF_CACHE", {})
+    return nef_feasible
+
+
+def test_nef_equals_scan_on_integral_vectors(cold_nef):
+    rng = random.Random(20240611)
+    for _ in range(300):
+        length = rng.randint(1, 6)
+        entries = (1,) + tuple(rng.randint(-1, 5) for _ in range(length))
+        c = ChernVector(entries, rng.randint(length, 12))
+        assert cold_nef(c) == scan_nef(c), c
+
+
+def test_nef_equals_scan_on_half_integral_vectors(cold_nef):
+    rng = random.Random(4417)
+    for _ in range(200):
+        length = rng.randint(1, 5)
+        entries = (1,) + tuple(Fraction(rng.randint(-1, 8), 2) for _ in range(length))
+        c = ChernVector(entries, rng.randint(length, 12), integral=False)
+        res = cold_nef(c)
+        assert res == scan_nef(c), c
+        assert res.value is None or type(res.value) is Fraction
+
+
+def test_nef_equals_scan_on_all_ones_vectors(cold_nef):
+    for d in range(1, 28):
+        for ambient in (d, d + 1):
+            c = ChernVector((1,) * (d + 1), ambient)
+            assert cold_nef(c) == scan_nef(c), c
+
+
+def test_nef_witness_disagreement_is_internal_error(cold_nef, monkeypatch):
+    monkeypatch.setattr(chern, "schur_minor", lambda c, lam: Fraction(-7))
+    with pytest.raises(InternalInconsistencyError):
+        cold_nef(ChernVector((1, 1, 0, 1), 6))
 
 
 # --- first-Chern-class consequences ------------------------------------------

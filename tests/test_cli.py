@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from flagnest import cli
 from flagnest.acceptance import CheckResult
 from flagnest.constructions import TrialReport
@@ -166,6 +168,14 @@ def test_verify_construction_b3_rejects_other_ranks(capsys):
     assert "rank 3" in err
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_construction_rejects_vacuous_trial_counts(capsys, trials):
+    code, out, err = run(capsys, "verify-construction", "A", "--n", "3", "--trials", trials)
+    assert code == 64
+    assert out == ""
+    assert "--trials must be at least 1" in err
+
+
 def test_verify_construction_failure_path(capsys, monkeypatch):
     bad = TrialReport(kind="A", trials=5, passed=4, failure={"seed": "3", "what": "mismatch"})
     monkeypatch.setattr(cli, "section_trials", lambda *a, **k: bad)
@@ -209,6 +219,17 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert out == ""
     doc = json.loads(target.read_text(encoding="utf-8"))
     assert doc["counts"]["exists"] == 3
+
+
+def test_unwritable_out_is_an_io_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(
+        capsys, "classify", "--diagram", "A4", "--marked", "1", "--unmark", "4",
+        "--out", str(target),
+    )
+    assert code == 74
+    assert out == ""
+    assert err == f"flagnest: cannot write {target}: No such file or directory\n"
 
 
 def test_help_and_version_exit_zero(capsys):
