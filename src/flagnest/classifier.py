@@ -19,7 +19,6 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 from .chern import chern_from_poly, factor_unit_minus_tk, schwarzenberger_s33
 from .cohomology import (
     GradedPresentation,
-    coefficient_of_monomial,
     degree_ledger,
     eliminate_even_generators,
     presentation,
@@ -45,7 +44,7 @@ from .dynkin import (
     variety_dimension,
 )
 from .errors import InternalInconsistencyError, UnsupportedInputError
-from .exactpoly import GradedPoly, UniPoly, exact_div
+from .exactpoly import GradedPoly, Scalar, UniPoly, exact_div
 
 EXISTS = "exists"
 NOT_EXISTS = "not_exists"
@@ -87,6 +86,9 @@ def _jsonable(value):
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, Fraction):
+        # exact coefficients print as strings, counts and degrees as numbers;
+        # a polynomial coefficient is an int when integral, so a rule that
+        # records one wraps it in Fraction to keep the string form
         return str(value)
     if isinstance(value, (UniPoly, GradedPoly, DynkinDiagram)):
         return str(value)
@@ -349,7 +351,7 @@ def _unique_relation_of_degree(pres: GradedPresentation, degree: int) -> GradedP
     return hits[0]
 
 
-def _relation_shape(rel: GradedPoly, top: str) -> Tuple[Fraction, bool, bool]:
+def _relation_shape(rel: GradedPoly, top: str) -> Tuple[Scalar, bool, bool]:
     """Coefficient on q1 * top, whether top appears only there, whether every
     b generator enters with even exponent."""
     top_idx = rel.gen_index(top)
@@ -359,7 +361,7 @@ def _relation_shape(rel: GradedPoly, top: str) -> Tuple[Fraction, bool, bool]:
     expected[one_idx] += 1
     expected[top_idx] += 1
     expected = tuple(expected)
-    main = rel.terms.get(expected, Fraction(0))
+    main = rel.terms.get(expected, 0)
     clean = all(expo == expected for expo in rel.terms if expo[top_idx] > 0)
     even_b = all(all(expo[i] % 2 == 0 for i in b_idx) for expo in rel.terms)
     return main, clean, even_b
@@ -472,7 +474,7 @@ def obstruct_last_node(family: str, n: int, r: int) -> ObstructionOutcome:
                 "no relation in that degree.",
                 {
                     "relation_degree": n,
-                    "pairing_coefficient": main,
+                    "pairing_coefficient": Fraction(main),
                     "top_generator": top,
                     "b_exponents_even": even_b,
                     "target_generator_degrees": led["generator_degrees"],
@@ -552,7 +554,7 @@ def obstruct_last_node(family: str, n: int, r: int) -> ObstructionOutcome:
                 "relation in that degree either, a contradiction.",
                 {
                     "relation_degree": n - 1,
-                    "pairing_coefficient": main,
+                    "pairing_coefficient": Fraction(main),
                     "top_generator": f"q{n - 2}",
                     "b_exponents_even": even_b,
                     "target_generator_degrees": led["generator_degrees"],

@@ -6,7 +6,8 @@ presentation, verify a construction with seeded random trials, and self-check
 JSON; identical argv always produces identical bytes.
 
 Exit codes: 0 success, 1 a verification or self-check found a failure,
-2 unsupported mathematical input, 64 argv did not parse, 74 the output
+2 unsupported mathematical input, 64 argv did not parse, 70 an internal
+inconsistency (a bug in flagnest, reported as one stderr line), 74 the output
 could not be written.
 """
 
@@ -23,7 +24,7 @@ from .classifier import NestingQuery, classify, enumerate_nestings
 from .cohomology import degree_ledger, presentation
 from .constructions import section_trials
 from .dynkin import parse_diagram, parse_marked
-from .errors import UnsupportedInputError
+from .errors import InternalInconsistencyError, UnsupportedInputError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -259,6 +260,9 @@ def main(argv=None) -> int:
     except UnsupportedInputError as exc:
         print(f"flagnest: unsupported input: {exc}", file=sys.stderr)
         return 2
+    except InternalInconsistencyError as exc:
+        print(f"flagnest: internal error: {exc}", file=sys.stderr)
+        return 70
     try:
         _emit(text, ns.out)
     except OSError as exc:

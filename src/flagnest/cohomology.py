@@ -17,13 +17,13 @@ it.  And real coefficients are modeled by Q throughout: all relation data is
 rational and every positivity or nonvanishing check downstream is exact.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .dynkin import DynkinDiagram, MarkedDiagram, marked
 from .errors import InternalInconsistencyError, UnsupportedInputError
-from .exactpoly import GradedPoly, UniPoly, coeff_plus, elementary_symmetric_polys
+from .exactpoly import GradedPoly, Scalar, UniPoly, coeff_plus
 from .linalg import in_row_span, row_echelon
 
 _CLASSICAL = ("A", "B", "C", "D")
@@ -477,7 +477,7 @@ def degree_ledger(p: GradedPresentation) -> dict:
     }
 
 
-def _linear_pivot(rel: GradedPoly, gens) -> Optional[Tuple[int, Fraction]]:
+def _linear_pivot(rel: GradedPoly, gens) -> Optional[Tuple[int, Scalar]]:
     """Index and coefficient of a generator occurring only as a bare linear term."""
     for gi in range(len(gens)):
         expo = tuple(1 if i == gi else 0 for i in range(len(gens)))
@@ -487,11 +487,6 @@ def _linear_pivot(rel: GradedPoly, gens) -> Optional[Tuple[int, Fraction]]:
         if all(e[gi] == 0 for e in rel.terms if e != expo):
             return gi, c
     return None
-
-
-def coefficient_of_monomial(relation: GradedPoly, powers: Mapping[str, int]) -> Fraction:
-    """Exact coefficient of the given monomial in a relation polynomial."""
-    return relation.coefficient(powers)
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +517,9 @@ def homogeneous_monomials(gens, degree: int) -> List[Tuple[int, ...]]:
 
 
 def _slice_rows(p: GradedPresentation, degree: int):
+    """Monomial basis of one graded slice and the relation multiples spanning
+    the ideal there, as rows of Fractions: row_echelon divides, and an int
+    quotient would be a float."""
     basis = homogeneous_monomials(p.generators, degree)
     index = {m: i for i, m in enumerate(basis)}
     rows = []
@@ -534,7 +532,7 @@ def _slice_rows(p: GradedPresentation, degree: int):
             prod = rel * mono
             vec = [Fraction(0)] * len(basis)
             for e, c in prod.terms.items():
-                vec[index[e]] = c
+                vec[index[e]] = Fraction(c)
             rows.append(vec)
     return basis, rows
 
@@ -552,7 +550,7 @@ def in_relation_slice(p: GradedPresentation, poly: GradedPoly) -> bool:
     index = {m: i for i, m in enumerate(basis)}
     vec = [Fraction(0)] * len(basis)
     for e, c in poly.terms.items():
-        vec[index[e]] = c
+        vec[index[e]] = Fraction(c)
     echelon, pivots = row_echelon(rows)
     return in_row_span(echelon, pivots, vec)
 

@@ -1,9 +1,12 @@
 """Exact scalar and polynomial arithmetic.
 
 Everything downstream (Chern data, cohomology presentations, the octonion
-constructions) runs on the types in this module.  All arithmetic is exact:
-rationals are ``fractions.Fraction``, Gaussian rationals are pairs of
-Fractions, and polynomials never touch floating point.
+constructions) runs on the types in this module.  All arithmetic is exact and
+never touches floating point.  A rational polynomial coefficient is stored as
+an ``int`` where it is integral and as a ``fractions.Fraction`` otherwise,
+never as a float; almost every coefficient met in practice is an integer, and
+int arithmetic is several times cheaper than Fraction arithmetic.  Gaussian
+rationals are pairs of Fractions.
 
 Two polynomial types:
 
@@ -14,13 +17,16 @@ Two polynomial types:
   ``GradedPoly`` coefficients).
 * ``GradedPoly`` -- sparse multivariate polynomials over Q with a weighted
   degree per generator, used for cohomology ring presentations.
+
+Division is the one place where ints need care: ``int / int`` is a float in
+Python, so every division of coefficients goes through ``_div``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 
@@ -33,6 +39,30 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _as_rational(value) -> Scalar:
+    """An exact rational in normal form: int where integral, else Fraction."""
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _normal(c):
+    """Turn an integral Fraction into an int; leave everything else alone."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _div(a, b):
+    """Exact a / b: an int quotient of ints stays an int, never a float."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
 
 
 @dataclass(frozen=True)
@@ -122,8 +152,10 @@ class GaussRat:
 
 
 def _coerce_coeff(c):
-    if isinstance(c, int):
-        return Fraction(c)
+    if isinstance(c, (int, Fraction)):
+        return _as_rational(c)
+    if isinstance(c, float):
+        raise TypeError("polynomial coefficients must be exact, got a float")
     return c
 
 
@@ -143,7 +175,7 @@ class UniPoly:
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_coerce_coeff(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
 
@@ -175,7 +207,7 @@ class UniPoly:
 
     def coeff(self, k: int):
         if k < 0 or k >= len(self.coeffs):
-            return Fraction(0)
+            return 0
         return self.coeffs[k]
 
     def __iter__(self):
@@ -194,8 +226,13 @@ class UniPoly:
     def __add__(self, other):
         if not isinstance(other, UniPoly):
             other = UniPoly([other])
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self.coeff(k) + other.coeff(k) for k in range(n)])
+        longer, shorter = self.coeffs, other.coeffs
+        if len(longer) < len(shorter):
+            longer, shorter = shorter, longer
+        out = list(longer)
+        for k, c in enumerate(shorter):
+            out[k] = out[k] + c
+        return UniPoly(out)
 
     __radd__ = __add__
 
@@ -215,15 +252,18 @@ class UniPoly:
             return UniPoly([c * other for c in self.coeffs])
         if self.is_zero() or other.is_zero():
             return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        # None marks a slot no product has reached yet, so the first product
+        # lands as is instead of being added to a rational zero
+        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
+            if not a:
                 continue
             for j, b in enumerate(other.coeffs):
-                if b == 0:
+                if not b:
                     continue
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(out)
+                prev = out[i + j]
+                out[i + j] = a * b if prev is None else prev + a * b
+        return UniPoly([0 if c is None else c for c in out])
 
     def __rmul__(self, other):
         return self * other
@@ -244,9 +284,6 @@ class UniPoly:
         """Return p(-t): flip the sign of every odd-degree coefficient."""
         return UniPoly([-c if k % 2 else c for k, c in enumerate(self.coeffs)])
 
-    def truncate(self, max_degree: int) -> "UniPoly":
-        return UniPoly(self.coeffs[: max_degree + 1])
-
     def evaluate(self, x):
         acc = 0
         for c in reversed(self.coeffs):
@@ -264,7 +301,7 @@ class UniPoly:
                 parts.append(("+", str(c)))
                 continue
             var = "t" if k == 1 else f"t^{k}"
-            negative = isinstance(c, Fraction) and c < 0
+            negative = isinstance(c, (int, Fraction)) and c < 0
             mag = -c if negative else c
             body = var if mag == 1 else f"{mag}{var}"
             parts.append(("-" if negative else "+", body))
@@ -278,31 +315,8 @@ class UniPoly:
         return f"UniPoly({list(self.coeffs)!r})"
 
     def to_json(self) -> list:
-        """Coefficient array, ints where possible, 'p/q' strings otherwise."""
-        out = []
-        for c in self.coeffs:
-            if isinstance(c, Fraction):
-                out.append(int(c) if c.denominator == 1 else str(c))
-            else:
-                out.append(str(c))
-        return out
-
-    @staticmethod
-    def from_json(data: Sequence) -> "UniPoly":
-        return UniPoly([Fraction(c) for c in data])
-
-
-def poly_mul(p, q):
-    """Exact product of two compatible polynomials."""
-    return p * q
-
-
-def substitute_neg(p: UniPoly) -> UniPoly:
-    return p.substitute_neg()
-
-
-def coeff(p: UniPoly, degree: int):
-    return p.coeff(degree)
+        """Coefficient array, ints where integral, 'p/q' strings otherwise."""
+        return [c if isinstance(c, int) else str(c) for c in self.coeffs]
 
 
 def coeff_plus(p: UniPoly) -> dict:
@@ -327,12 +341,12 @@ def exact_div(p: UniPoly, q: UniPoly) -> Optional[UniPoly]:
         return None
     lead = q.coeffs[-1]
     rem = list(p.coeffs)
-    quot = [Fraction(0)] * (dp - dq + 1)
+    quot = [0] * (dp - dq + 1)
     for k in range(dp - dq, -1, -1):
         c = rem[k + dq]
         if c == 0:
             continue
-        factor = c / lead
+        factor = _div(c, lead)
         quot[k] = factor
         for j, b in enumerate(q.coeffs):
             rem[k + j] = rem[k + j] - factor * b
@@ -344,9 +358,11 @@ def exact_div(p: UniPoly, q: UniPoly) -> Optional[UniPoly]:
 class GradedPoly:
     """Sparse polynomial over Q in named generators with assigned degrees.
 
-    Terms are stored as {exponent tuple: Fraction}.  The generator table is a
-    tuple of (name, weighted degree) pairs shared by every polynomial in one
-    ring; arithmetic between polynomials with different tables is an error.
+    Terms are stored as {exponent tuple: coefficient}, with no zero
+    coefficients; a coefficient is an int where integral and a Fraction
+    otherwise, never a float.  The generator table is a tuple of (name,
+    weighted degree) pairs shared by every polynomial in one ring; arithmetic
+    between polynomials with different tables is an error.
     """
 
     __slots__ = ("gens", "terms")
@@ -357,16 +373,22 @@ class GradedPoly:
         if terms:
             width = len(self.gens)
             for expo, c in terms.items():
-                c = _as_fraction(c)
+                c = _as_rational(c)
                 if c == 0:
                     continue
                 expo = tuple(int(e) for e in expo)
                 if len(expo) != width or any(e < 0 for e in expo):
                     raise ValueError(f"bad exponent vector {expo!r}")
-                cleaned[expo] = cleaned.get(expo, Fraction(0)) + c
-                if cleaned[expo] == 0:
-                    del cleaned[expo]
-        self.terms = cleaned
+                cleaned[expo] = cleaned.get(expo, 0) + c
+        self.terms = _cleaned(cleaned)
+
+    @classmethod
+    def _make(cls, gens: tuple, terms: dict) -> "GradedPoly":
+        """Wrap terms already in normal form over an already-normalised table."""
+        out = object.__new__(cls)
+        out.gens = gens
+        out.terms = terms
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -377,7 +399,7 @@ class GradedPoly:
     @staticmethod
     def const(gens, c) -> "GradedPoly":
         g = GradedPoly(gens)
-        c = _as_fraction(c)
+        c = _as_rational(c)
         if c != 0:
             g.terms[(0,) * len(g.gens)] = c
         return g
@@ -388,7 +410,7 @@ class GradedPoly:
         idx = g.gen_index(name)
         expo = [0] * len(g.gens)
         expo[idx] = 1
-        g.terms[tuple(expo)] = Fraction(1)
+        g.terms[tuple(expo)] = 1
         return g
 
     def gen_index(self, name: str) -> int:
@@ -400,7 +422,7 @@ class GradedPoly:
     # -- ring structure ------------------------------------------------
 
     def _check_ring(self, other: "GradedPoly"):
-        if self.gens != other.gens:
+        if self.gens is not other.gens and self.gens != other.gens:
             raise ValueError("polynomials live in different graded rings")
 
     def __add__(self, other):
@@ -409,21 +431,17 @@ class GradedPoly:
         self._check_ring(other)
         terms = dict(self.terms)
         for expo, c in other.terms.items():
-            s = terms.get(expo, Fraction(0)) + c
-            if s == 0:
-                terms.pop(expo, None)
+            s = terms.get(expo, 0) + c
+            if s:
+                terms[expo] = _normal(s)
             else:
-                terms[expo] = s
-        out = GradedPoly(self.gens)
-        out.terms = terms
-        return out
+                del terms[expo]
+        return GradedPoly._make(self.gens, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = GradedPoly(self.gens)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return GradedPoly._make(self.gens, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -435,41 +453,40 @@ class GradedPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            out = GradedPoly(self.gens)
-            if c != 0:
-                out.terms = {e: v * c for e, v in self.terms.items()}
-            return out
+            c = _as_rational(other)
+            if not c:
+                return GradedPoly._make(self.gens, {})
+            return GradedPoly._make(
+                self.gens, {e: _normal(v * c) for e, v in self.terms.items()}
+            )
         self._check_ring(other)
-        out = GradedPoly(self.gens)
         acc = {}
+        get = acc.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                s = acc.get(expo, Fraction(0)) + c1 * c2
-                if s == 0:
-                    acc.pop(expo, None)
-                else:
-                    acc[expo] = s
-        out.terms = acc
-        return out
+                expo = tuple(map(add, e1, e2))
+                acc[expo] = get(expo, 0) + c1 * c2
+        return GradedPoly._make(self.gens, _cleaned(acc))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not defined")
-        result = GradedPoly.const(self.gens, 1)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return GradedPoly.const(self.gens, 1) if result is None else result
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
+            if not other:
+                return not self.terms
             other = GradedPoly.const(self.gens, other)
         if isinstance(other, GradedPoly):
             return self.gens == other.gens and self.terms == other.terms
@@ -493,38 +510,36 @@ class GradedPoly:
             return degrees.pop()
         return None
 
-    def degree_slice(self, degree: int) -> "GradedPoly":
-        out = GradedPoly(self.gens)
-        out.terms = {
-            e: c for e, c in self.terms.items() if self.monomial_degree(e) == degree
-        }
-        return out
-
-    def support_degrees(self):
-        return sorted({self.monomial_degree(e) for e in self.terms})
-
-    def coefficient(self, powers: Mapping[str, int]) -> Fraction:
+    def coefficient(self, powers: Mapping[str, int]) -> Scalar:
         """Coefficient of the monomial prod(gen^power); unnamed powers are 0."""
         expo = [0] * len(self.gens)
         for name, p in powers.items():
             expo[self.gen_index(name)] = int(p)
-        return self.terms.get(tuple(expo), Fraction(0))
+        return self.terms.get(tuple(expo), 0)
 
     def substitute(self, name: str, value: "GradedPoly") -> "GradedPoly":
-        """Replace a generator by a polynomial of the same ring."""
+        """Replace a generator by a polynomial of the same ring.
+
+        Each power of ``value`` is built once, from the one below it, and
+        every term's expansion is added into a single accumulator.
+        """
         self._check_ring(value)
         idx = self.gen_index(name)
-        out = GradedPoly(self.gens)
+        powers = [None, value]
+        acc = {}
+        get = acc.get
         for expo, c in self.terms.items():
             k = expo[idx]
-            rest = list(expo)
-            rest[idx] = 0
-            term = GradedPoly(self.gens)
-            term.terms = {tuple(rest): c}
-            if k:
-                term = term * (value**k)
-            out = out + term
-        return out
+            rest = expo[:idx] + (0,) + expo[idx + 1:]
+            if not k:
+                acc[rest] = get(rest, 0) + c
+                continue
+            while len(powers) <= k:
+                powers.append(powers[-1] * value)
+            for e2, c2 in powers[k].terms.items():
+                expo2 = tuple(map(add, rest, e2))
+                acc[expo2] = get(expo2, 0) + c * c2
+        return GradedPoly._make(self.gens, _cleaned(acc))
 
     def monomial_strings(self):
         for expo, c in sorted(self.terms.items()):
@@ -550,6 +565,11 @@ class GradedPoly:
 
     def to_json(self) -> dict:
         return {mono: str(c) for mono, c in self.monomial_strings()}
+
+
+def _cleaned(acc: dict) -> dict:
+    """Accumulated terms with the zeros dropped and integral Fractions as ints."""
+    return {e: _normal(c) for e, c in acc.items() if c}
 
 
 def _monomial_str(gens, expo) -> str:

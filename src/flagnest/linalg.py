@@ -1,8 +1,12 @@
 """Exact dense linear algebra over any exact field.
 
 Field elements only need +, -, *, / and equality against 0/1 (Fraction and
-GaussRat both qualify).  Everything works on plain lists of lists; matrices
-are small throughout the package, so no effort is spent on sparsity.
+GaussRat both qualify).  Plain ints do not: ``int / int`` is a float.  The
+polynomial layer keeps coefficients as int where integral and Fraction
+otherwise, never float, so a caller that feeds polynomial coefficients in
+(the graded-slice rows of ``cohomology``) converts them to Fraction first.
+Everything works on plain lists of lists; matrices are small throughout the
+package, so no effort is spent on sparsity.
 """
 
 from __future__ import annotations

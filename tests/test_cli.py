@@ -5,6 +5,7 @@ import pytest
 from flagnest import cli
 from flagnest.acceptance import CheckResult
 from flagnest.constructions import TrialReport
+from flagnest.errors import InternalInconsistencyError
 
 
 def run(capsys, *argv):
@@ -230,6 +231,17 @@ def test_unwritable_out_is_an_io_error(capsys, tmp_path):
     assert code == 74
     assert out == ""
     assert err == f"flagnest: cannot write {target}: No such file or directory\n"
+
+
+def test_internal_inconsistency_exits_seventy(capsys, monkeypatch):
+    def broken(ns):
+        raise InternalInconsistencyError("degree ledger disagrees")
+
+    monkeypatch.setitem(cli._HANDLERS, "classify", broken)
+    code, out, err = run(capsys, "classify", "--diagram", "A4", "--marked", "1", "--unmark", "4")
+    assert code == 70
+    assert out == ""
+    assert err == "flagnest: internal error: degree ledger disagrees\n"
 
 
 def test_help_and_version_exit_zero(capsys):

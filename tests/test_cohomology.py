@@ -5,7 +5,6 @@ import pytest
 from flagnest.cohomology import (
     BundleChernData,
     GradedPresentation,
-    coefficient_of_monomial,
     degree_ledger,
     eliminate_even_generators,
     homogeneous_monomials,
@@ -72,8 +71,8 @@ def test_top_relation_coefficients():
     # Coeff_2(Q(t)Q(-t)) = 2Q_2 - Q_1^2
     p = pres("B", 4, {4})
     c2 = rel_by_degree(p)[2][0]
-    assert coefficient_of_monomial(c2, {"Q2": 1}) == 2
-    assert coefficient_of_monomial(c2, {"Q1": 2}) == -1
+    assert c2.coefficient({"Q2": 1}) == 2
+    assert c2.coefficient({"Q1": 2}) == -1
 
 
 # ---------------------------------------------------------------------------
