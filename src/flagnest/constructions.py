@@ -78,8 +78,9 @@ class SymplecticSpace:
             raise UnsupportedInputError("form is degenerate")
 
     def pairing(self, u, v) -> Fraction:
+        # the form matrices are sparse, and a zero entry adds nothing
         return sum(
-            (u[i] * self.omega[i][j] * v[j] for i in range(self.dim) for j in range(self.dim)),
+            (u[i] * w * v[j] for i, row in enumerate(self.omega) for j, w in enumerate(row) if w),
             Fraction(0),
         )
 
@@ -343,8 +344,9 @@ class QuadraticSpace:
             raise UnsupportedInputError("bilinear form is degenerate")
 
     def inner(self, u, v) -> Fraction:
+        # the Gram matrices are sparse, and a zero entry adds nothing
         return sum(
-            (u[i] * self.bilinear[i][j] * v[j] for i in range(self.dim) for j in range(self.dim)),
+            (u[i] * b * v[j] for i, row in enumerate(self.bilinear) for j, b in enumerate(row) if b),
             Fraction(0),
         )
 
