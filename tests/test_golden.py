@@ -4,8 +4,12 @@
 digests pin the full trace of every single-mark query on the classical
 diagrams up to rank 8, one digest per diagram over the concatenated stdout of
 its queries in (kept, forgotten) order; between them these queries exercise
-every trace rule.  The `explain` digests pin one presentation of each shape
-per family, in both output formats.
+every trace rule.  The multi-mark `classify` digests do the same for every
+query whose mark sets together span two to four nodes, up to rank 7, in the
+order `enumerate --mode all-subsets` poses them; they pin the fiber
+restrictions, the rational-curve tags, the symmetry relabelings and the
+triality exclusions.  The `explain` digests pin one presentation of each
+shape per family, in both output formats.
 
 Any change to a verdict, a trace step, a recorded number or the output
 layout changes a digest.  A change meant to keep behaviour must leave these
@@ -13,6 +17,7 @@ strings untouched.
 """
 
 import hashlib
+from itertools import combinations
 
 import pytest
 
@@ -86,6 +91,63 @@ def _classify_digest(capsys, name: str) -> str:
 @pytest.mark.parametrize("name", sorted(CLASSIFY_GOLDEN))
 def test_classify_trace_digest(capsys, name):
     assert _classify_digest(capsys, name) == CLASSIFY_GOLDEN[name]
+
+
+MULTI_MARK_GOLDEN = {
+    "A2": "cb6671446f2608330f0afe84158506656e562dac34579fe8fbe4c3025328a8f6",
+    "A3": "efd780e816962fec58373d1ebe263d367188fc7a3f6caedf9e9a4f96b796a53f",
+    "A4": "b07b4918bced27eb51c3099e337f5fe872332cb166bb1ff8de70ead8ada66aa8",
+    "A5": "022fa11312f4814488457732d8d8de184d9bdadd0995b05aefdf65fc42b5f517",
+    "A6": "0ffa80bec95400f01aa4c6f08b5ffa45afe2914aacb91231000d06004b28abb1",
+    "A7": "dbd9752c879c4290ef4b9b81786812ee532f78b294c0f5680e36e4f0340f47f4",
+    "B2": "c46793236bf6a4952012e0572e74d87d7e42c3e6030f5b8cd73e94d9b6249931",
+    "B3": "f102ac38ec2ce0241ab2bc6000b10d2f0b64361a47da582cf5f68b9604e9575c",
+    "B4": "f86f56199ed27ff967c6db8cd41315b14d6aa1b9bc459de2ca4222e3771a30d2",
+    "B5": "db2add00599ff55a4007d31e1fd01161e8c83f07cb9d88a0dfc00c456a7fdc40",
+    "B6": "bc340bb25672f556896727587656917899055c403a24ebe5999a0be3386ba5a6",
+    "B7": "c4a4c38268f67b226edcd2adea198ff1c9b450c7a122cc8d6206f043a37672ad",
+    "C3": "14d7e5cafad2fb05131e352aa0ff43bc948d1348bbb38ffee191b3f9857d9f02",
+    "C4": "b33c9a61b29274b12122dfb68fc323286b1b45ec7d715e65bac8b9d3aa36e96e",
+    "C5": "4c4e4c57adf04e5b42218f52ea3a44ae4ffb8cb842df386b771335dbdde9d27f",
+    "C6": "8e98a85210f251e56b90fcd738d019ffe835a3dd589e5b40925e24573c7b0034",
+    "C7": "bdfb65b6f473d6f63552b34c5fa6c8372d408b501c25ad2c2be5476311905f66",
+    "D4": "632103c13be41b2d88fba62a8bf365c3f5ead38cc47a57414244b93a7c3cd56f",
+    "D5": "ae65cad86d4cac79025c03999b433b0fe20673b9d83c2ab81607699341dced68",
+    "D6": "46f9bdf4ee84240b1a8eac6703f0edbb06a2c55d870e0d68e1807e70917f43df",
+    "D7": "eb420439b31e37a3a5a2cc6b065d8c01c9c52c2f07584cd90dbde430450190b2",
+}
+
+
+def _multi_mark_queries(rank: int):
+    """(kept, forgotten) for every split of every 2..4-node union, unions in
+    lexicographic order and splits by bit pattern over the union."""
+    nodes = range(1, rank + 1)
+    for size in range(2, min(4, rank) + 1):
+        for union in combinations(nodes, size):
+            for bits in range(1, 2 ** size - 1):
+                kept = [x for t, x in enumerate(union) if bits >> t & 1]
+                forgotten = [x for t, x in enumerate(union) if not bits >> t & 1]
+                yield kept, forgotten
+
+
+def _multi_mark_digest(capsys, name: str) -> str:
+    h = hashlib.sha256()
+    for kept, forgotten in _multi_mark_queries(int(name[1:])):
+        argv = [
+            "classify", "--diagram", name,
+            "--marked", ",".join(map(str, kept)),
+            "--unmark", ",".join(map(str, forgotten)),
+        ]
+        code = cli.main(argv + ["--format", "json"])
+        out = capsys.readouterr().out
+        assert code == 0, argv
+        h.update(out.encode("utf-8"))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_MARK_GOLDEN))
+def test_multi_mark_classify_digest(capsys, name):
+    assert _multi_mark_digest(capsys, name) == MULTI_MARK_GOLDEN[name]
 
 
 EXPLAIN_GOLDEN = {
