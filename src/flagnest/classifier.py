@@ -27,13 +27,11 @@ from .cohomology import (
 from .constructions import nesting_A_cohomology_solver
 from .dynkin import (
     DynkinDiagram,
-    MarkedDiagram,
     Tag,
     apply_automorphism,
     cartan_matrix,
     component_containing,
     coxeter_number,
-    delete_nodes,
     diagram,
     diagram_automorphisms,
     folding_from,
@@ -131,6 +129,7 @@ class NestingQuery:
     diagram: DynkinDiagram
     I: FrozenSet[int]
     J: FrozenSet[int]
+    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.diagram
@@ -148,14 +147,12 @@ class NestingQuery:
         for node in self.I | self.J:
             if not 1 <= node <= d.rank:
                 raise UnsupportedInputError(f"node {node} outside 1..{d.rank}")
+        key = (d.family, d.rank, tuple(sorted(self.I)), tuple(sorted(self.J)))
+        object.__setattr__(self, "_key", key)
 
     def key(self) -> tuple:
-        return (
-            self.diagram.family,
-            self.diagram.rank,
-            tuple(sorted(self.I)),
-            tuple(sorted(self.J)),
-        )
+        """(family, rank, sorted I, sorted J), computed once."""
+        return self._key
 
     def to_json(self) -> dict:
         return {"diagram": str(self.diagram), "I": sorted(self.I), "J": sorted(self.J)}
@@ -343,7 +340,7 @@ def obstruct_first_node(family: str, n: int, r: int) -> ObstructionOutcome:
 
 
 def _unique_relation_of_degree(pres: GradedPresentation, degree: int) -> GradedPoly:
-    hits = [rel for rel in pres.relations if rel.homogeneous_degree() == degree]
+    hits = [rel for rel, d in zip(pres.relations, pres.rel_degrees) if d == degree]
     if len(hits) != 1:
         raise InternalInconsistencyError(
             f"expected exactly one relation of degree {degree}, found {len(hits)}"
@@ -371,7 +368,7 @@ def _relation_multiset(pres: GradedPresentation, swap: bool) -> list:
     """Relations as a sorted multiset of (degree, named monomial -> coefficient),
     optionally with the q and b generator families renamed into each other."""
     rows = []
-    for rel in pres.relations:
+    for rel, degree in zip(pres.relations, pres.rel_degrees):
         moved = {}
         for expo, coeff in rel.terms.items():
             monomial = []
@@ -382,7 +379,7 @@ def _relation_multiset(pres: GradedPresentation, swap: bool) -> list:
                     name = ("b" + name[1:]) if name[0] == "q" else ("q" + name[1:])
                 monomial.append((name, e))
             moved[tuple(sorted(monomial))] = coeff
-        rows.append((rel.homogeneous_degree(), tuple(sorted(moved.items()))))
+        rows.append((degree, tuple(sorted(moved.items()))))
     return sorted(rows)
 
 
@@ -574,28 +571,39 @@ def obstruct_last_node(family: str, n: int, r: int) -> ObstructionOutcome:
 _DECISION_CACHE: Dict[tuple, NestingDecision] = {}
 
 
-def _canonical_form(query: NestingQuery) -> Tuple[NestingQuery, List[TraceStep]]:
-    d = query.diagram
-    best = None
-    best_sigma = None
+def _canonical_marks(
+    d: DynkinDiagram, kept: Tuple[int, ...], forgotten: Tuple[int, ...]
+) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], Optional[Tuple[int, ...]]]:
+    """The least (kept, forgotten) pair of sorted mark tuples over the orbit of
+    the diagram's symmetries, and the first symmetry reaching it; the symmetry
+    is None when the given pair is already least."""
+    best, best_sigma = (kept, forgotten), None
     for sigma in diagram_automorphisms(d):
-        key = (
-            tuple(sorted(apply_automorphism(sigma, query.I))),
-            tuple(sorted(apply_automorphism(sigma, query.J))),
+        cand = (
+            tuple(sorted([sigma[i - 1] for i in kept])),
+            tuple(sorted([sigma[j - 1] for j in forgotten])),
         )
-        if best is None or key < best:
-            best, best_sigma = key, sigma
-    canon = NestingQuery(d, frozenset(best[0]), frozenset(best[1]))
-    if canon.key() == query.key():
-        return canon, []
+        if cand < best:
+            best, best_sigma = cand, sigma
+    return best, best_sigma
+
+
+def _canonical_form(query: NestingQuery) -> Tuple[NestingQuery, List[TraceStep]]:
+    """The query relabeled into its canonical form (the query itself when it
+    already is canonical), and the relabeling step if one was needed."""
+    _, _, kept, forgotten = query.key()
+    (canon_i, canon_j), sigma = _canonical_marks(query.diagram, kept, forgotten)
+    if sigma is None:
+        return query, []
+    canon = NestingQuery(query.diagram, frozenset(canon_i), frozenset(canon_j))
     step = TraceStep(
         "diagram-symmetry",
         "Relabeled the marks by a symmetry of the diagram; existence of a "
         "section is invariant under such relabelings.",
         {
-            "permutation": list(best_sigma),
-            "from": {"I": sorted(query.I), "J": sorted(query.J)},
-            "to": {"I": sorted(canon.I), "J": sorted(canon.J)},
+            "permutation": list(sigma),
+            "from": {"I": list(kept), "J": list(forgotten)},
+            "to": {"I": list(canon_i), "J": list(canon_j)},
         },
     )
     return canon, [step]
@@ -604,12 +612,12 @@ def _canonical_form(query: NestingQuery) -> Tuple[NestingQuery, List[TraceStep]]
 def classify(query: NestingQuery) -> NestingDecision:
     """Decide whether the forgetful projection of the query admits a section."""
     canon, relabel = _canonical_form(query)
-    cached = _DECISION_CACHE.get(canon.key())
+    key = canon.key()
+    cached = _DECISION_CACHE.get(key)
     if cached is None:
         result, steps = _decide(canon)
-        cached = NestingDecision(canon, result, tuple(steps))
-        _DECISION_CACHE[canon.key()] = cached
-    if canon.key() == query.key():
+        cached = _DECISION_CACHE[key] = NestingDecision(canon, result, tuple(steps))
+    if canon is query:
         return cached
     return NestingDecision(query, cached.result, tuple(relabel) + cached.trace)
 
@@ -650,10 +658,19 @@ def _decide_many_unmarked(q: NestingQuery) -> Tuple[str, List[TraceStep]]:
         if not inner.exists:
             steps.extend(inner.trace)
             return NOT_EXISTS, steps
+    return _triality_exclusion(
+        q, steps, "simultaneous one-mark sections outside the triality orbit"
+    )
+
+
+def _triality_exclusion(
+    q: NestingQuery, steps: List[TraceStep], unexpected: str
+) -> Tuple[str, List[TraceStep]]:
+    """Close a query that every restriction left open: only the triality
+    orbit on D4 may get here, and a recorded fact excludes it."""
+    d = q.diagram
     if not (d.family == "D" and d.rank == 4 and q.I | q.J == frozenset([1, 3, 4])):
-        raise InternalInconsistencyError(
-            "simultaneous one-mark sections outside the triality orbit"
-        )
+        raise InternalInconsistencyError(unexpected)
     steps.append(
         TraceStep(
             "triality-exclusion",
@@ -761,16 +778,7 @@ def _decide_many_marked(q: NestingQuery) -> Tuple[str, List[TraceStep]]:
             steps.append(TraceStep("rational-curve-tag", _CURVE_TAG_ANCHOR, data))
             if blocked:
                 return NOT_EXISTS, steps
-    if not (d.family == "D" and d.rank == 4 and q.I | q.J == frozenset([1, 3, 4])):
-        raise InternalInconsistencyError("tag symmetry survived outside the triality orbit")
-    steps.append(
-        TraceStep(
-            "triality-exclusion",
-            _TRIALITY_ANCHOR,
-            {"diagram": str(d), "I": sorted(q.I), "J": sorted(q.J)},
-        )
-    )
-    return NOT_EXISTS, steps
+    return _triality_exclusion(q, steps, "tag symmetry survived outside the triality orbit")
 
 
 def _decide_interior_mark(q: NestingQuery, i: int, j: int) -> Tuple[str, List[TraceStep]]:
@@ -877,58 +885,24 @@ def _decide_extremal(q: NestingQuery, i: int, j: int) -> Tuple[str, List[TraceSt
 
 
 # --------------------------------------------------------------------------
-# corollaries and enumeration
-
-
-def reducibility_corollary(v: MarkedDiagram, component: Optional[int] = None) -> bool:
-    """Whether the flag bundle over v acquires a section along some unmarked node.
-
-    component picks one connected component of the unmarked part by position
-    in the component list; by default every component is tried.
-    """
-    comps = delete_nodes(v.diagram, v.marked)
-    if not comps:
-        raise UnsupportedInputError("every node is marked; there is no flag bundle left")
-    if component is not None:
-        if not 0 <= component < len(comps):
-            raise UnsupportedInputError(f"component index {component} out of range")
-        comps = [comps[component]]
-    for comp in comps:
-        for j in sorted(comp.parent_nodes):
-            if classify(NestingQuery(v.diagram, frozenset(v.marked), frozenset([j]))).exists:
-                return True
-    return False
-
-
-def subbundle_corollary(v: MarkedDiagram) -> dict:
-    """Whether the tautological quotient on a one-mark variety has a proper
-    homogeneous subbundle, and the subbundle's rank when it does."""
-    if len(v.marked) != 1:
-        raise UnsupportedInputError("the subbundle question concerns one-mark varieties")
-    d = v.diagram
-    (r,) = v.marked
-    n = d.rank
-    if d.family == "A" and r == n and n >= 2:
-        return {"has_subbundle": True, "rank_of_subbundle": n - 1}
-    if d.family == "D" and r in (n - 1, n):
-        return {"has_subbundle": True, "rank_of_subbundle": 1}
-    return {"has_subbundle": False}
+# enumeration
 
 
 def _mark_pairs(d: DynkinDiagram, mode: str):
+    """(kept, forgotten) pairs of sorted node tuples, in enumeration order."""
     nodes = list(range(1, d.rank + 1))
     if mode == "singletons":
         for i in nodes:
             for j in nodes:
                 if i != j:
-                    yield frozenset([i]), frozenset([j])
+                    yield (i,), (j,)
         return
     for size in range(2, min(4, d.rank) + 1):
         for union in combinations(nodes, size):
-            whole = frozenset(union)
             for bits in range(1, 2 ** size - 1):
-                kept = frozenset(x for t, x in enumerate(union) if bits >> t & 1)
-                yield kept, whole - kept
+                kept = tuple(x for t, x in enumerate(union) if bits >> t & 1)
+                forgotten = tuple(x for t, x in enumerate(union) if not bits >> t & 1)
+                yield kept, forgotten
 
 
 def enumerate_nestings(max_rank: int, mode: str = "singletons") -> dict:
@@ -947,17 +921,17 @@ def enumerate_nestings(max_rank: int, mode: str = "singletons") -> dict:
     for fam, lo in (("A", 2), ("B", 2), ("C", 3), ("D", 4)):
         for n in range(lo, max_rank + 1):
             diagrams.append(diagram(fam, n))
-    seen = set()
     exists_rows = []
     total = 0
     for d in diagrams:
+        seen = set()  # canonical mark pairs of d; no two diagrams share a query
         for kept, forgotten in _mark_pairs(d, mode):
-            canon, _ = _canonical_form(NestingQuery(d, kept, forgotten))
-            k = canon.key()
-            if k in seen:
+            marks, _ = _canonical_marks(d, kept, forgotten)
+            if marks in seen:
                 continue
-            seen.add(k)
+            seen.add(marks)
             total += 1
+            canon = NestingQuery(d, frozenset(marks[0]), frozenset(marks[1]))
             if classify(canon).exists:
                 exists_rows.append(canon.to_json())
     exists_rows.sort(

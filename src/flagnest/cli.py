@@ -179,8 +179,8 @@ def _cmd_explain(ns) -> Tuple[int, str]:
     for name, degree in p.generators:
         lines.append(f"  {name} (degree {degree})")
     lines.append("relations:")
-    for rel in p.relations:
-        lines.append(f"  degree {rel.homogeneous_degree()}: {rel}")
+    for rel, degree in zip(p.relations, p.rel_degrees):
+        lines.append(f"  degree {degree}: {rel}")
     lines.append(
         "reduced degrees:"
         f" generators {ledger['generator_degrees']},"

@@ -17,7 +17,7 @@ it.  And real coefficients are modeled by Q throughout: all relation data is
 rational and every positivity or nonvanishing check downstream is exact.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -36,21 +36,27 @@ class GradedPresentation:
     variety: MarkedDiagram
     generators: Tuple[Tuple[str, int], ...]
     relations: Tuple[GradedPoly, ...]
+    # rel_degrees[k] is the weighted degree of relations[k], computed once
+    rel_degrees: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple((str(n), int(d)) for n, d in self.generators))
         object.__setattr__(self, "relations", tuple(self.relations))
+        degrees = []
         for rel in self.relations:
             if rel.gens != self.generators:
                 raise InternalInconsistencyError("relation written over the wrong generator table")
-            if rel.homogeneous_degree() is None:
+            degree = rel.homogeneous_degree()
+            if degree is None:
                 raise InternalInconsistencyError(f"inhomogeneous relation {rel}")
+            degrees.append(degree)
+        object.__setattr__(self, "rel_degrees", tuple(degrees))
 
     def generator_degrees(self) -> List[int]:
         return sorted(d for _, d in self.generators)
 
     def relation_degrees(self) -> List[int]:
-        return sorted(rel.homogeneous_degree() for rel in self.relations)
+        return sorted(self.rel_degrees)
 
     def generator(self, name: str) -> GradedPoly:
         return GradedPoly.generator(self.generators, name)
@@ -523,8 +529,7 @@ def _slice_rows(p: GradedPresentation, degree: int):
     basis = homogeneous_monomials(p.generators, degree)
     index = {m: i for i, m in enumerate(basis)}
     rows = []
-    for rel in p.relations:
-        d0 = rel.homogeneous_degree()
+    for rel, d0 in zip(p.relations, p.rel_degrees):
         if d0 > degree:
             continue
         for expo in homogeneous_monomials(p.generators, degree - d0):

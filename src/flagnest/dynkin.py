@@ -132,8 +132,23 @@ def parse_marked(text: str) -> MarkedDiagram:
 # Cartan data
 
 
+# Pure functions of a diagram are computed once per process and kept as
+# immutable values; the public functions hand out fresh lists.
+_CARTAN_CACHE: Dict[DynkinDiagram, Tuple[Tuple[int, ...], ...]] = {}
+_AUTOMORPHISM_CACHE: Dict[DynkinDiagram, Tuple[Tuple[int, ...], ...]] = {}
+_DELETION_CACHE: Dict[tuple, Tuple["Component", ...]] = {}
+_COMPONENTS: Dict["Component", "Component"] = {}  # one shared copy of each
+
+
 def cartan_matrix(d: DynkinDiagram) -> List[List[int]]:
     """C[i][j] = 2(a_i, a_j)/(a_i, a_i), returned as 0-based nested lists."""
+    rows = _CARTAN_CACHE.get(d)
+    if rows is None:
+        rows = _CARTAN_CACHE[d] = tuple(map(tuple, _build_cartan(d)))
+    return [list(row) for row in rows]
+
+
+def _build_cartan(d: DynkinDiagram) -> List[List[int]]:
     n = d.rank
     c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -258,6 +273,13 @@ def variety_dimension(m: MarkedDiagram) -> int:
 
 def diagram_automorphisms(d: DynkinDiagram) -> List[Tuple[int, ...]]:
     """Graph automorphisms as permutation tuples (image of node i at index i-1)."""
+    perms = _AUTOMORPHISM_CACHE.get(d)
+    if perms is None:
+        perms = _AUTOMORPHISM_CACHE[d] = tuple(_build_automorphisms(d))
+    return list(perms)
+
+
+def _build_automorphisms(d: DynkinDiagram) -> List[Tuple[int, ...]]:
     n = d.rank
     ident = tuple(range(1, n + 1))
     if d.family == "A" and n >= 2:
@@ -301,6 +323,10 @@ class Component:
 
     diagram: DynkinDiagram
     to_parent: Tuple[Tuple[int, int], ...]  # (own label, parent label), sorted
+    parent_nodes: FrozenSet[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "parent_nodes", frozenset(b for _, b in self.to_parent))
 
     def parent_node(self, own: int) -> int:
         for a, b in self.to_parent:
@@ -314,14 +340,22 @@ class Component:
                 return a
         raise KeyError(parent)
 
-    @property
-    def parent_nodes(self) -> FrozenSet[int]:
-        return frozenset(b for _, b in self.to_parent)
-
 
 def delete_nodes(d: DynkinDiagram, removed) -> List[Component]:
     """Connected components of the induced subdiagram on nodes - removed."""
-    removed = frozenset(removed)
+    return list(_components(d, removed))
+
+
+def _components(d: DynkinDiagram, removed) -> Tuple[Component, ...]:
+    key = (d, frozenset(removed))
+    comps = _DELETION_CACHE.get(key)
+    if comps is None:
+        comps = tuple(_COMPONENTS.setdefault(c, c) for c in _split(d, key[1]))
+        _DELETION_CACHE[key] = comps
+    return comps
+
+
+def _split(d: DynkinDiagram, removed: FrozenSet[int]) -> List[Component]:
     keep = [i for i in d.nodes if i not in removed]
     c = cartan_matrix(d)
     adj: Dict[int, List[int]] = {
@@ -402,7 +436,7 @@ def _identify_component(d, nodes, adj, c) -> Component:
 
 
 def component_containing(d: DynkinDiagram, removed, node: int) -> Component:
-    for comp in delete_nodes(d, removed):
+    for comp in _components(d, removed):
         if node in comp.parent_nodes:
             return comp
     raise UnsupportedInputError(f"node {node} was deleted; no component contains it")

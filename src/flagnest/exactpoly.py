@@ -582,27 +582,6 @@ def _monomial_str(gens, expo) -> str:
     return "*".join(bits) if bits else "1"
 
 
-def elementary_symmetric_polys(gens, names: Sequence[str]) -> list:
-    """e_0..e_m of the named generators, as GradedPoly values.
-
-    Computed by expanding prod(1 + x_j t) one factor at a time; this is the
-    engine behind the pullback identity checks.
-    """
-    es = [GradedPoly.const(gens, 1)]
-    for name in names:
-        x = GradedPoly.generator(gens, name)
-        nxt = []
-        for k in range(len(es) + 1):
-            term = GradedPoly.zero(gens)
-            if k < len(es):
-                term = term + es[k]
-            if k >= 1:
-                term = term + es[k - 1] * x
-            nxt.append(term)
-        es = nxt
-    return es
-
-
 def partitions(weight: int, max_part: Optional[int] = None):
     """Yield all partitions of exactly `weight` as weakly decreasing tuples."""
     if weight == 0:

@@ -8,19 +8,17 @@ from flagnest.classifier import (
     NestingDecision,
     NestingQuery,
     TraceStep,
+    _canonical_form,
     classify,
     enumerate_nestings,
     obstruct_first_node,
     obstruct_last_node,
-    reducibility_corollary,
-    subbundle_corollary,
 )
 from flagnest.dynkin import (
     DynkinDiagram,
     apply_automorphism,
     diagram,
     diagram_automorphisms,
-    marked,
 )
 from flagnest.errors import InternalInconsistencyError, UnsupportedInputError
 
@@ -53,6 +51,46 @@ def test_query_rejects_aliased_diagram_labels():
     # raw C2 object would be ambiguous
     with pytest.raises(UnsupportedInputError):
         NestingQuery(DynkinDiagram("C", 2), frozenset([1]), frozenset([2]))
+
+
+def test_validation_holds_after_valid_queries_on_the_same_diagram():
+    for fam, n in (("B", 2), ("A", 3), ("A", 4)):
+        assert query(fam, n, [1], [2]).key() == (fam, n, (1,), (2,))
+    for raw in (DynkinDiagram("C", 2), DynkinDiagram("D", 3), DynkinDiagram("D", 2)):
+        for _ in range(2):
+            with pytest.raises(UnsupportedInputError):
+                NestingQuery(raw, frozenset([1]), frozenset([2]))
+    with pytest.raises(UnsupportedInputError, match="disjoint"):
+        query("A", 4, [1, 2], [2, 3])
+    with pytest.raises(UnsupportedInputError, match="nonempty"):
+        query("A", 4, [1], [])
+    for bad in (0, 5, -1):
+        with pytest.raises(UnsupportedInputError, match=f"node {bad} outside 1..4"):
+            query("A", 4, [1, bad], [2])
+        with pytest.raises(UnsupportedInputError, match=f"node {bad} outside 1..4"):
+            query("A", 4, [1], [2, bad])
+
+
+def test_query_key_is_sorted_and_computed_once():
+    q = query("D", 6, [5, 1, 3], [6, 2])
+    assert q.key() == ("D", 6, (1, 3, 5), (2, 6))
+    assert q.key() is q.key()
+    assert q == query("D", 6, [1, 3, 5], [2, 6])
+    assert hash(q) == hash(query("D", 6, [1, 3, 5], [2, 6]))
+
+
+def test_canonical_form_returns_canonical_queries_unchanged():
+    canon = query("A", 5, [1], [4])
+    assert _canonical_form(canon) == (canon, [])
+    assert _canonical_form(canon)[0] is canon
+    moved, steps = _canonical_form(query("A", 5, [5], [2]))
+    assert moved == canon
+    assert [s.rule for s in steps] == ["diagram-symmetry"]
+    assert steps[0].data == {
+        "permutation": [5, 4, 3, 2, 1],
+        "from": {"I": [5], "J": [2]},
+        "to": {"I": [1], "J": [4]},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -280,37 +318,6 @@ def test_last_node_pipeline():
         obstruct_last_node("B", 4, 4)
     with pytest.raises(UnsupportedInputError):
         obstruct_last_node("A", 5, 2)
-
-
-# ---------------------------------------------------------------------------
-# corollaries
-
-
-def test_reducibility_corollary():
-    assert reducibility_corollary(marked(diagram("A", 5), [1]))
-    assert not reducibility_corollary(marked(diagram("C", 4), [1]))
-    assert reducibility_corollary(marked(diagram("D", 5), [5]))
-    assert not reducibility_corollary(marked(diagram("A", 5), [3]))
-    assert not reducibility_corollary(marked(diagram("A", 5), [3]), component=1)
-    with pytest.raises(UnsupportedInputError):
-        reducibility_corollary(marked(diagram("A", 5), [3]), component=2)
-    with pytest.raises(UnsupportedInputError):
-        reducibility_corollary(marked(diagram("A", 2), [1, 2]))
-
-
-def test_subbundle_corollary():
-    assert subbundle_corollary(marked(diagram("A", 4), [4])) == {
-        "has_subbundle": True,
-        "rank_of_subbundle": 3,
-    }
-    assert subbundle_corollary(marked(diagram("B", 5), [2])) == {"has_subbundle": False}
-    assert subbundle_corollary(marked(diagram("D", 6), [5])) == {
-        "has_subbundle": True,
-        "rank_of_subbundle": 1,
-    }
-    assert subbundle_corollary(marked(diagram("A", 1), [1])) == {"has_subbundle": False}
-    with pytest.raises(UnsupportedInputError):
-        subbundle_corollary(marked(diagram("A", 4), [1, 4]))
 
 
 # ---------------------------------------------------------------------------

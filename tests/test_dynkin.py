@@ -2,10 +2,13 @@
 variety dimensions, automorphisms, deletion components, restriction tags,
 and foldings."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flagnest import dynkin
 from flagnest.dynkin import (
     Tag,
     apply_automorphism,
@@ -152,6 +155,60 @@ def test_component_containing():
     assert comp.parent_nodes == frozenset({3, 4, 5})
     with pytest.raises(UnsupportedInputError):
         component_containing(diagram("D", 5), {2}, 2)
+
+
+def _diagrams_up_to(max_rank):
+    out = [diagram("G2", 2)]
+    for fam, lo in (("A", 1), ("B", 2), ("C", 3), ("D", 4)):
+        out += [diagram(fam, n) for n in range(lo, max_rank + 1)]
+    return out
+
+
+def test_memoized_deletions_match_fresh_computation():
+    cases = [
+        (d, frozenset(removed))
+        for d in _diagrams_up_to(9)
+        for size in range(4)
+        for removed in combinations(d.nodes, size)
+    ]
+    # fill the memo in one order and with one argument type, read it back in
+    # the reverse order with others, and compare with the uncached split
+    for d, removed in cases:
+        delete_nodes(d, sorted(removed))
+    for d, removed in reversed(cases):
+        fresh = dynkin._split(d, removed)
+        assert delete_nodes(d, set(removed)) == fresh
+        assert delete_nodes(d, tuple(removed)) == fresh
+        for node in d.nodes:
+            if node in removed:
+                with pytest.raises(UnsupportedInputError):
+                    component_containing(d, removed, node)
+            else:
+                (want,) = [c for c in fresh if node in c.parent_nodes]
+                assert component_containing(d, list(removed), node) == want
+
+
+def test_memoized_cartan_and_automorphisms_match_fresh_computation():
+    for d in _diagrams_up_to(9):
+        assert cartan_matrix(d) == dynkin._build_cartan(d)
+        assert diagram_automorphisms(d) == dynkin._build_automorphisms(d)
+
+
+def test_returned_lists_are_fresh():
+    d = diagram("D", 5)
+    c = cartan_matrix(d)
+    c[0][0] = 99
+    c.append([0])
+    assert cartan_matrix(d) == dynkin._build_cartan(d)
+    comps = delete_nodes(d, {2})
+    want = list(comps)
+    comps.pop()
+    comps.append("junk")
+    assert delete_nodes(d, {2}) == want
+    autos = diagram_automorphisms(d)
+    autos.clear()
+    assert diagram_automorphisms(d) == dynkin._build_automorphisms(d)
+    assert component_containing(d, {2}, 4).parent_nodes == frozenset({3, 4, 5})
 
 
 def test_restriction_tag_values():

@@ -15,7 +15,6 @@ from flagnest.exactpoly import (
     GradedPoly,
     UniPoly,
     coeff_plus,
-    elementary_symmetric_polys,
     exact_div,
     partitions,
 )
@@ -143,24 +142,6 @@ def test_graded_poly_substitute():
     p = k + h * h
     q = p.substitute("k", -(h * h))
     assert q.is_zero()
-
-
-def test_elementary_symmetric():
-    gens = tuple((f"x{i}", 1) for i in range(1, 4))
-    es = elementary_symmetric_polys(gens, ["x1", "x2", "x3"])
-    assert len(es) == 4
-    assert es[0] == GradedPoly.const(gens, 1)
-    x1 = GradedPoly.generator(gens, "x1")
-    x2 = GradedPoly.generator(gens, "x2")
-    x3 = GradedPoly.generator(gens, "x3")
-    assert es[1] == x1 + x2 + x3
-    assert es[2] == x1 * x2 + x1 * x3 + x2 * x3
-    assert es[3] == x1 * x2 * x3
-    one = GradedPoly.const(gens, 1)
-    product = UniPoly([one])
-    for x in (x1, x2, x3):
-        product = product * UniPoly([one, x])
-    assert list(product.coeffs) == es
 
 
 def test_partitions_of_eight():
