@@ -10,10 +10,10 @@ consume.
 `nef_feasible` evaluates all those minors of one vector in a single pass:
 each Jacobi-Trudi determinant is expanded along its first column into
 minors with one part fewer (Macdonald, Symmetric Functions and Hall
-Polynomials, ch. I), in exact ints for integral vectors, keeping only the
-nonzero minors of the previous length.  One negative minor refutes
-nefness (Fulton-Lazarsfeld 1983); the reported witness is recomputed as a
-direct Bareiss determinant by `schur_minor` and must agree.
+Polynomials, ch. I), in exact ints for integral vectors, and each length
+is built from the nonzero minors of the previous one alone.  One negative
+minor refutes nefness (Fulton-Lazarsfeld 1983); the reported witness is
+recomputed as a direct Bareiss determinant by `schur_minor` and must agree.
 """
 
 from __future__ import annotations
@@ -166,17 +166,6 @@ class NefResult:
 _NEF_CACHE: Dict[Tuple[Tuple[Fraction, ...], int], NefResult] = {}
 
 
-def _partitions_of_length(t: int, max_part: int, max_weight: int):
-    """Yield the partitions with exactly t parts, each at most `max_part`,
-    of weight at most `max_weight`, first part descending."""
-    if t == 0:
-        yield ()
-        return
-    for first in range(min(max_part, max_weight - (t - 1)), 0, -1):
-        for rest in _partitions_of_length(t - 1, first, max_weight - first):
-            yield (first,) + rest
-
-
 def _order_key(lam: Partition) -> Tuple[int, Tuple[int, ...]]:
     """Weight ascending, then reverse lexicographic: the scan order of
     `exactpoly.partitions` run over weights 1, 2, ..."""
@@ -193,9 +182,14 @@ def nef_feasible(c: ChernVector) -> NefResult:
     expanding each Jacobi-Trudi determinant along its first column:
     S_lam = sum_k (-1)^k E_{lam_k - k} S_{lam^(k)} (0-based k), where
     lam^(k) = (lam_0 + 1, ..., lam_{k-1} + 1, lam_{k+1}, ...) has t - 1
-    parts and, whenever E_{lam_k - k} is nonzero, weight <= |lam|.  Only
-    the nonzero minors of the previous length are kept, so memory is one
-    level, not every partition.  Integral vectors run in int arithmetic.
+    parts and, whenever E_{lam_k - k} is nonzero, weight <= |lam|.  A term
+    is nonzero only when its child lam^(k) is a nonzero minor of the
+    previous length, so each level is built by inverting lam -> lam^(k)
+    over those minors alone: from mu and k, lam = (mu_0 - 1, ...,
+    mu_{k-1} - 1, x, mu_k, ...) with mu_{k-1} - 1 >= x >= mu_k, and each
+    such (mu, k, x) adds its one term to S_lam.  Only the nonzero sums are
+    kept, so a level holds the nonzero minors of one length, not every
+    partition.  Integral vectors run in int arithmetic.
 
     On failure the first violating partition in ascending weight (then the
     reverse lexicographic order of `exactpoly.partitions`) is reported.
@@ -214,24 +208,33 @@ def nef_feasible(c: ChernVector) -> NefResult:
     found = 0
     prev = {(): 1}
     t = 0
-    while t < max_weight:
+    while prev and t < max_weight:
         t += 1
-        level = {}
-        for lam in _partitions_of_length(t, cap, max_weight):
-            val = 0
+        sums = {}
+        for mu, sub in prev.items():
+            room = max_weight - sum(mu)  # weight left for x - k
             head: Partition = ()
+            upper = cap
             sign = 1
             for k in range(t):
-                i = lam[k] - k
-                if i < 0:
-                    break  # lam_k - k only decreases from here on
-                coeff = e[i]
-                if coeff:
-                    sub = prev.get(head + lam[k + 1 :])
-                    if sub:
-                        val += sign * coeff * sub
-                head += (lam[k] + 1,)
+                lower = mu[k] if k < t - 1 else 1
+                if lower < k:
+                    lower = k  # E_{x - k} needs x >= k
+                top = min(upper, room + k)
+                for x in range(lower, top + 1):
+                    coeff = e[x - k]
+                    if coeff:
+                        lam = head + (x,) + mu[k:]
+                        sums[lam] = sums.get(lam, 0) + sign * coeff * sub
+                if k == t - 1:
+                    break
+                upper = mu[k] - 1
+                if upper < k + 1:
+                    break  # mu_k - 1 - k only decreases from here on
+                head += (upper,)
                 sign = -sign
+        level = {}
+        for lam, val in sums.items():
             if val:
                 level[lam] = val
                 if val < 0 and (witness is None or _order_key(lam) < _order_key(witness)):
@@ -351,22 +354,18 @@ def factor_unit_minus_tk(k: int, ambient_dim: int) -> List[Tuple[UniPoly, UniPol
     for d in range(2, k + 1):
         if k % d == 0:
             factors.append(cyclotomic(d))
-    target = UniPoly([1] + [0] * (k - 1) + [-1])
-    product = UniPoly([1])
-    for f in factors:
-        product = product * f
-    if product != target:
+    # prods[mask] is the product of the factors whose bits are set in mask,
+    # each built from the one with its lowest bit cleared
+    prods = [UniPoly([1])]
+    for mask in range(1, 1 << len(factors)):
+        low = mask & -mask
+        prods.append(prods[mask ^ low] * factors[low.bit_length() - 1])
+    full = len(prods) - 1
+    if prods[full] != UniPoly([1] + [0] * (k - 1) + [-1]):
         raise InternalInconsistencyError(f"cyclotomic product mismatch for k={k}")
     pairs: List[Tuple[UniPoly, UniPoly]] = []
-    for mask in range(1 << len(factors)):
-        pe = UniPoly([1])
-        g = UniPoly([1])
-        for idx, f in enumerate(factors):
-            if mask >> idx & 1:
-                pe = pe * f
-            else:
-                g = g * f
-        pf = g.substitute_neg()
+    for mask, pe in enumerate(prods):
+        pf = prods[full ^ mask].substitute_neg()
         if any(coef < 0 for coef in pe.coeffs) or any(coef < 0 for coef in pf.coeffs):
             continue
         if pe.degree > ambient_dim or pf.degree > ambient_dim:

@@ -19,8 +19,8 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 from .chern import chern_from_poly, factor_unit_minus_tk, schwarzenberger_s33
 from .cohomology import (
     GradedPresentation,
-    degree_ledger,
-    eliminate_even_generators,
+    eliminated_target,
+    last_flag_generators,
     presentation,
     slice_dimension,
 )
@@ -397,12 +397,12 @@ def obstruct_last_node(family: str, n: int, r: int) -> ObstructionOutcome:
     if not 1 <= r <= n - 1:
         raise UnsupportedInputError("the forgotten mark must lie in 1..n-1")
 
-    target = eliminate_even_generators(presentation(marked(d, [n])))
-    led = degree_ledger(target)
+    target, led = eliminated_target(d)
     steps: List[TraceStep] = []
 
-    flag = presentation(marked(d, [r, n]))
-    flag_max = max(deg for _, deg in flag.generators)
+    # the degree gap reads only the flag's generator table; the flag's
+    # relations are built below, in the branches that read them
+    flag_max = max(deg for _, deg in last_flag_generators(n, r))
     if flag_max < led["max_generator_degree"]:
         steps.append(
             TraceStep(
@@ -449,7 +449,7 @@ def obstruct_last_node(family: str, n: int, r: int) -> ObstructionOutcome:
 
     if family in ("B", "C") and r == n - 1 and n % 2 == 0:
         top = f"q{r}"
-        rel = _unique_relation_of_degree(flag, n)
+        rel = _unique_relation_of_degree(presentation(marked(d, [r, n])), n)
         main, clean, even_b = _relation_shape(rel, top)
         odd_gens = all(deg % 2 == 1 for deg in led["generator_degrees"])
         gap = led["min_relation_degree"] is None or led["min_relation_degree"] > n
@@ -500,6 +500,8 @@ def obstruct_last_node(family: str, n: int, r: int) -> ObstructionOutcome:
             )
             r = n - 2
             flag = right
+        else:
+            flag = presentation(marked(d, [r, n]))
         product = _unique_relation_of_degree(flag, n)
         expected_product = {(f"q{n - 2}", 1), (f"b{2}", 1)}
         product_monomials = [

@@ -217,6 +217,9 @@ def _cmd_verify(ns) -> Tuple[int, str]:
 def _cmd_self_check(ns) -> Tuple[int, str]:
     results = run_all()
     ok = all(r.passed for r in results)
+    for r in results:
+        if not r.passed:
+            print(f"{r.name}: {r.detail}", file=sys.stderr)
     if ns.format == "json":
         doc = {
             "schema": WIRE_SCHEMA,

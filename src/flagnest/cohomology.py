@@ -216,11 +216,17 @@ def _first_presentation(v: MarkedDiagram, r: int) -> GradedPresentation:
     return GradedPresentation(v, table, tuple(rels))
 
 
-def _last_presentation(v: MarkedDiagram, r: int) -> GradedPresentation:
-    family, n = v.diagram.family, v.diagram.rank
-    table = tuple(
+def last_flag_generators(n: int, r: int) -> Tuple[Tuple[str, int], ...]:
+    """Generator table of the {r, n} flag on any isotropic family of rank n:
+    q1..qr from the rank-r quotient, b1..b(n-r) from the rest."""
+    return tuple(
         [(f"q{i}", i) for i in range(1, r + 1)] + [(f"b{i}", i) for i in range(1, n - r + 1)]
     )
+
+
+def _last_presentation(v: MarkedDiagram, r: int) -> GradedPresentation:
+    family, n = v.diagram.family, v.diagram.rank
+    table = last_flag_generators(n, r)
     q = _series(table, {i: f"q{i}" for i in range(1, r + 1)}, r)
     b = _series(table, {i: f"b{i}" for i in range(1, n - r + 1)}, n - r)
     rels = _coeff_plus_relations(q * q.substitute_neg() * b * b.substitute_neg())
@@ -355,6 +361,27 @@ def _factor_product(table, names: Sequence[str], sign: int) -> UniPoly:
 
 
 _ELIMINATED_CACHE: Dict[Tuple[str, int], GradedPresentation] = {}
+_TARGET_LEDGER_CACHE: Dict[Tuple[str, int], Tuple[Tuple[str, object], ...]] = {}
+
+
+def eliminated_target(d: DynkinDiagram) -> Tuple[GradedPresentation, dict]:
+    """H*(D(n)) of a B/C/D diagram with its even generators eliminated, and
+    that ring's degree ledger.
+
+    The ledger is computed once per (family, rank) and kept with its lists
+    frozen to tuples; every call hands out a fresh dict with fresh lists, so
+    a caller that mutates one cannot change the next.
+    """
+    target = eliminate_even_generators(presentation(marked(d, [d.rank])))
+    key = (d.family, d.rank)
+    frozen = _TARGET_LEDGER_CACHE.get(key)
+    if frozen is None:
+        frozen = tuple(
+            (name, tuple(v) if isinstance(v, list) else v)
+            for name, v in degree_ledger(target).items()
+        )
+        _TARGET_LEDGER_CACHE[key] = frozen
+    return target, {name: list(v) if isinstance(v, tuple) else v for name, v in frozen}
 
 
 def eliminate_even_generators(p: GradedPresentation) -> GradedPresentation:

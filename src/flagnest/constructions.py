@@ -627,12 +627,16 @@ class TrialReport:
 
 def section_trials(kind: str, n: int, trials: int, seed: int) -> TrialReport:
     """Run seeded random instances of one construction and verify each."""
+    if kind == "A" and n < 1:
+        raise UnsupportedInputError("the point-hyperplane construction needs n >= 1")
+    if kind == "D" and n < 2:
+        raise UnsupportedInputError("the flag construction needs n >= 2")
     rng = random.Random(seed)
     passed = 0
     failure = None
     for t in range(trials):
         if kind == "A":
-            space = standard_symplectic(max(n, 1))
+            space = standard_symplectic(n)
             source = _random_nonzero_vector(rng, space.dim)
             produced = nesting_A(space, source)
             ok = verify_section("A", space, source, produced)
@@ -644,8 +648,6 @@ def section_trials(kind: str, n: int, trials: int, seed: int) -> TrialReport:
             ok = verify_section("B3", a, x, produced)
             witness = {"anchor": str(a.coords), "point": str(x.coords)}
         elif kind == "D":
-            if n < 2:
-                raise UnsupportedInputError("the flag construction needs n >= 2")
             space = hyperbolic_space(n)
             vn = random_isotropic_basis(rng, n)
             v = random_anisotropic_vector(rng, space)

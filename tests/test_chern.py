@@ -6,6 +6,7 @@ engine against its defining product identity and against the closed-form
 family list at the minimal ambient dimension.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -209,6 +210,116 @@ def test_nef_witness_disagreement_is_internal_error(cold_nef, monkeypatch):
         cold_nef(ChernVector((1, 1, 0, 1), 6))
 
 
+# --- sparse propagation against the dense level-by-level scan ----------------
+
+
+def _partitions_of_length(t, max_part, max_weight):
+    """The partitions with exactly t parts, each at most `max_part`, of
+    weight at most `max_weight`, first part descending."""
+    if t == 0:
+        yield ()
+        return
+    for first in range(min(max_part, max_weight - (t - 1)), 0, -1):
+        for rest in _partitions_of_length(t - 1, first, max_weight - first):
+            yield (first,) + rest
+
+
+def dense_nef(c):
+    """Reference: the same first-column expansion evaluated at every
+    partition of each length, not only at those with a nonzero child."""
+    cap = c.effective_degree
+    e = list(c.entries[: cap + 1])
+    max_weight = c.ambient_dim if cap else 0
+    witness, found = None, 0
+    prev = {(): 1}
+    t = 0
+    while t < max_weight:
+        t += 1
+        level = {}
+        for lam in _partitions_of_length(t, cap, max_weight):
+            val, head, sign = 0, (), 1
+            for k in range(t):
+                i = lam[k] - k
+                if i < 0:
+                    break
+                if e[i]:
+                    sub = prev.get(head + lam[k + 1 :])
+                    if sub:
+                        val += sign * e[i] * sub
+                head += (lam[k] + 1,)
+                sign = -sign
+            if val:
+                level[lam] = val
+                if val < 0 and (witness is None or chern._order_key(lam) < chern._order_key(witness)):
+                    witness, found = lam, val
+        if witness is not None:
+            max_weight = sum(witness)
+        prev = level
+    if witness is None:
+        return NefResult(True)
+    return NefResult(False, witness, Fraction(found))
+
+
+def _census_split_vectors(max_k):
+    """Both sides of every split of 1 - t^k into (1 - t) and cyclotomic
+    factors, for 2 <= k <= max_k, that has nonnegative coefficients and fits
+    the minimal ambient dimension k - 1."""
+    out = set()
+    for k in range(2, max_k + 1):
+        factors = [UniPoly([1, -1])] + [cyclotomic(d) for d in range(2, k + 1) if k % d == 0]
+        for mask in range(1 << len(factors)):
+            pe, g = UniPoly([1]), UniPoly([1])
+            for idx, f in enumerate(factors):
+                if mask >> idx & 1:
+                    pe = pe * f
+                else:
+                    g = g * f
+            for side in (pe, g.substitute_neg()):
+                if all(x >= 0 for x in side.coeffs) and side.degree <= k - 1:
+                    out.add((side.coeffs, k - 1))
+    return sorted(out)
+
+
+def test_nef_equals_dense_scan_on_census_split_vectors(cold_nef):
+    census = _census_split_vectors(40)
+    assert len(census) > 400
+    for coeffs, ambient in census:
+        c = ChernVector(coeffs, ambient)
+        assert cold_nef(c) == dense_nef(c), c
+
+
+def test_nef_equals_dense_scan_on_integral_vectors(cold_nef):
+    rng = random.Random(61803)
+    for _ in range(400):
+        length = rng.randint(1, 7)
+        entries = (1,) + tuple(rng.randint(-2, 6) for _ in range(length))
+        c = ChernVector(entries, rng.randint(length, 14))
+        assert cold_nef(c) == dense_nef(c), c
+
+
+def test_nef_equals_dense_scan_on_half_integral_vectors(cold_nef):
+    rng = random.Random(27182)
+    for _ in range(200):
+        length = rng.randint(1, 6)
+        entries = (1,) + tuple(Fraction(rng.randint(-2, 9), 2) for _ in range(length))
+        c = ChernVector(entries, rng.randint(length, 12), integral=False)
+        assert cold_nef(c) == dense_nef(c), c
+
+
+def test_nef_equals_dense_scan_on_all_ones_and_binomials(cold_nef):
+    for d in range(1, 31):
+        for ambient in (d, d + 1):
+            c = ChernVector((1,) * (d + 1), ambient)
+            assert cold_nef(c) == dense_nef(c), c
+    for d in range(1, 23):
+        binomial = tuple(math.comb(d, i) for i in range(d + 1))
+        for ambient in (d, d + 1):
+            c = ChernVector(binomial, ambient)
+            res = cold_nef(c)
+            assert res.feasible  # c(O(1)^d) is nef on every ambient
+            assert res == dense_nef(c), c
+
+
 # --- first-Chern-class consequences ------------------------------------------
 
 
@@ -301,6 +412,32 @@ def test_factor_product_identity_and_integrality():
             assert pe * pf.substitute_neg() == target
             for coef in list(pe.coeffs) + list(pf.coeffs):
                 assert Fraction(coef).denominator == 1
+
+
+def test_factor_matches_splits_built_from_scratch(monkeypatch):
+    """The subset-product table gives the same pairs as multiplying out
+    both sides of every split afresh."""
+    monkeypatch.setattr(chern, "_FACTOR_CACHE", {})
+    for k in range(2, 37):
+        factors = [UniPoly([1, -1])] + [cyclotomic(d) for d in range(2, k + 1) if k % d == 0]
+        for ambient in (k - 1, k + 2):
+            expected = []
+            for mask in range(1 << len(factors)):
+                pe, g = UniPoly([1]), UniPoly([1])
+                for idx, f in enumerate(factors):
+                    if mask >> idx & 1:
+                        pe = pe * f
+                    else:
+                        g = g * f
+                pf = g.substitute_neg()
+                sides = (pe, pf)
+                if all(x >= 0 for side in sides for x in side.coeffs) and all(
+                    side.degree <= ambient and nef_feasible(chern_from_poly(side, ambient))
+                    for side in sides
+                ):
+                    expected.append(sides)
+            expected.sort(key=lambda pq: (pq[0].coeffs, pq[1].coeffs))
+            assert factor_unit_minus_tk(k, ambient) == expected, (k, ambient)
 
 
 def test_factor_preconditions():

@@ -1,7 +1,9 @@
+import copy
 import json
 
 import pytest
 
+from flagnest import cohomology
 from flagnest.classifier import (
     EXISTS,
     NOT_EXISTS,
@@ -19,7 +21,9 @@ from flagnest.dynkin import (
     apply_automorphism,
     diagram,
     diagram_automorphisms,
+    marked,
 )
+from flagnest.cohomology import last_flag_generators, presentation
 from flagnest.errors import InternalInconsistencyError, UnsupportedInputError
 
 
@@ -318,6 +322,33 @@ def test_last_node_pipeline():
         obstruct_last_node("B", 4, 4)
     with pytest.raises(UnsupportedInputError):
         obstruct_last_node("A", 5, 2)
+
+
+def _isotropic_flags(max_rank):
+    for family, lo in (("B", 2), ("C", 3), ("D", 4)):
+        for n in range(lo, max_rank + 1):
+            for r in range(1, n):
+                yield family, n, r
+
+
+def test_last_flag_generator_table_matches_presentation():
+    for family, n, r in _isotropic_flags(12):
+        flag = presentation(marked(diagram(family, n), [r, n]))
+        assert last_flag_generators(n, r) == flag.generators, (family, n, r)
+
+
+def test_last_node_outcomes_equal_on_cold_and_warm_caches(monkeypatch):
+    for family, n, r in _isotropic_flags(12):
+        for cache in ("_PRESENTATION_CACHE", "_ELIMINATED_CACHE", "_TARGET_LEDGER_CACHE"):
+            monkeypatch.setattr(cohomology, cache, {})
+        cold = obstruct_last_node(family, n, r)
+        expected = copy.deepcopy(cold)
+        # a caller that mutates the ledger lists in a trace must not reach the cache
+        for step in cold.steps:
+            for value in step.data.values():
+                if isinstance(value, list):
+                    value.append(-1)
+        assert obstruct_last_node(family, n, r) == expected, (family, n, r)
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,14 @@ def test_verify_construction_rejects_vacuous_trial_counts(capsys, trials):
     assert "--trials must be at least 1" in err
 
 
+@pytest.mark.parametrize("n", ["-4", "0"])
+def test_verify_construction_a_rejects_nonpositive_rank(capsys, n):
+    code, out, err = run(capsys, "verify-construction", "A", "--n", n, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err == "flagnest: unsupported input: the point-hyperplane construction needs n >= 1\n"
+
+
 def test_verify_construction_failure_path(capsys, monkeypatch):
     bad = TrialReport(kind="A", trials=5, passed=4, failure={"seed": "3", "what": "mismatch"})
     monkeypatch.setattr(cli, "section_trials", lambda *a, **k: bad)
@@ -196,6 +204,26 @@ def test_self_check_lines_carry_no_timings(capsys, monkeypatch):
     code, out, _ = run(capsys, "self-check")
     assert code == 1
     assert out == "alpha: pass\nbeta: fail\n"
+
+
+def test_self_check_failure_detail_goes_to_stderr(capsys, monkeypatch):
+    fake = [
+        CheckResult(name="alpha", passed=True, detail="all 12 agree"),
+        CheckResult(name="beta", passed=False, detail="B4: expected 3 survivors, got 2"),
+        CheckResult(name="gamma", passed=False, detail="took 31.0s, budget 30s"),
+    ]
+    monkeypatch.setattr(cli, "run_all", lambda: fake)
+    for fmt, expected_out in (
+        ("text", "alpha: pass\nbeta: fail\ngamma: fail\n"),
+        ("json", None),
+    ):
+        code, out, err = run(capsys, "self-check", "--format", fmt)
+        assert code == 1
+        if expected_out is not None:
+            assert out == expected_out
+        else:
+            assert json.loads(out)["passed"] is False
+        assert err == "beta: B4: expected 3 survivors, got 2\ngamma: took 31.0s, budget 30s\n"
 
 
 def test_self_check_json(capsys, monkeypatch):

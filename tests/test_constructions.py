@@ -278,6 +278,12 @@ def test_nesting_A_random_trials():
     assert report.ok
 
 
+def test_section_trials_reject_ranks_below_the_construction():
+    for kind, n in (("A", 0), ("A", -4), ("D", 1)):
+        with pytest.raises(UnsupportedInputError):
+            section_trials(kind, n, 5, seed=1)
+
+
 def test_verify_section_detects_tampering():
     s = standard_symplectic(2)
     point = (Fraction(1), Fraction(1), Fraction(0), Fraction(0))

@@ -29,13 +29,17 @@ GOLDEN = [
         "13342be79d52802b59cc2e268ee5fb540710f3be0d2339bfce7f58a11baa2372",
     ),
     (
+        ("enumerate", "--max-rank", "20", "--mode", "singletons"),
+        "0d5d36a49c1a860c35897e327d6acd66f10849aacabd66c6a144e4f95c7a94db",
+    ),
+    (
         ("enumerate", "--max-rank", "8", "--mode", "all-subsets"),
         "6bb5a909bb523936a47ca43f18431c07300e8c6de4258f80389c5bf0f7683372",
     ),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN, ids=["singletons-rank12", "all-subsets-rank8"])
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=["singletons-rank12", "singletons-rank20", "all-subsets-rank8"])
 def test_enumerate_json_digest(capsys, argv, digest):
     code = cli.main(list(argv) + ["--format", "json"])
     out = capsys.readouterr().out
