@@ -16,6 +16,7 @@ from flagnest.classifier import (
     obstruct_first_node,
     obstruct_last_node,
 )
+from flagnest.cohomology import last_flag_generators, presentation
 from flagnest.dynkin import (
     DynkinDiagram,
     apply_automorphism,
@@ -23,7 +24,6 @@ from flagnest.dynkin import (
     diagram_automorphisms,
     marked,
 )
-from flagnest.cohomology import last_flag_generators, presentation
 from flagnest.errors import InternalInconsistencyError, UnsupportedInputError
 
 

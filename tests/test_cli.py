@@ -213,17 +213,19 @@ def test_self_check_failure_detail_goes_to_stderr(capsys, monkeypatch):
         CheckResult(name="gamma", passed=False, detail="took 31.0s, budget 30s"),
     ]
     monkeypatch.setattr(cli, "run_all", lambda: fake)
-    for fmt, expected_out in (
-        ("text", "alpha: pass\nbeta: fail\ngamma: fail\n"),
-        ("json", None),
-    ):
-        code, out, err = run(capsys, "self-check", "--format", fmt)
-        assert code == 1
-        if expected_out is not None:
-            assert out == expected_out
-        else:
-            assert json.loads(out)["passed"] is False
-        assert err == "beta: B4: expected 3 survivors, got 2\ngamma: took 31.0s, budget 30s\n"
+    detail = "beta: B4: expected 3 survivors, got 2\ngamma: took 31.0s, budget 30s\n"
+    code, out, err = run(capsys, "self-check")
+    assert code == 1
+    assert out == "alpha: pass\nbeta: fail\ngamma: fail\n"
+    assert err == detail
+    code, out, err = run(capsys, "self-check", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["checks"] == [
+        {"name": "alpha", "passed": True},
+        {"name": "beta", "passed": False},
+        {"name": "gamma", "passed": False},
+    ]
+    assert err == detail
 
 
 def test_self_check_json(capsys, monkeypatch):
