@@ -11,6 +11,7 @@ are recorded rather than recomputed; a positive decision ends by naming the
 explicit construction realizing the section.
 """
 
+import atexit
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -29,7 +30,7 @@ from .dynkin import (
     DynkinDiagram,
     Tag,
     apply_automorphism,
-    cartan_matrix,
+    cartan_rows,
     component_containing,
     coxeter_number,
     diagram,
@@ -38,6 +39,7 @@ from .dynkin import (
     folding_tag_condition,
     marked,
     neighbors,
+    nontrivial_automorphisms,
     restriction_tag,
     variety_dimension,
 )
@@ -118,6 +120,11 @@ class TraceStep:
         return {"rule": self.rule, "anchor": self.anchor, "data": _jsonable(self.data)}
 
 
+# Diagrams already checked to be in normal form; a query on one of them skips
+# the check.
+_NORMALIZED_DIAGRAMS = set()
+
+
 @dataclass(frozen=True)
 class NestingQuery:
     """Does the projection D(I | J) -> D(I) forgetting the J marks split?
@@ -133,21 +140,27 @@ class NestingQuery:
 
     def __post_init__(self):
         d = self.diagram
-        norm = diagram(d.family, d.rank)
-        if norm != d:
-            raise UnsupportedInputError(
-                f"{d} is stored as {norm}; pose the query on {norm} so the node labels are unambiguous"
-            )
-        object.__setattr__(self, "I", frozenset(int(i) for i in self.I))
-        object.__setattr__(self, "J", frozenset(int(j) for j in self.J))
-        if not self.I or not self.J:
+        if d not in _NORMALIZED_DIAGRAMS:
+            norm = diagram(d.family, d.rank)
+            if norm != d:
+                raise UnsupportedInputError(
+                    f"{d} is stored as {norm}; pose the query on {norm} so the node labels are unambiguous"
+                )
+            _NORMALIZED_DIAGRAMS.add(d)
+        kept = frozenset(map(int, self.I))
+        forgotten = frozenset(map(int, self.J))
+        object.__setattr__(self, "I", kept)
+        object.__setattr__(self, "J", forgotten)
+        if not kept or not forgotten:
             raise UnsupportedInputError("both mark sets must be nonempty")
-        if self.I & self.J:
+        if kept & forgotten:
             raise UnsupportedInputError("mark sets must be disjoint")
-        for node in self.I | self.J:
-            if not 1 <= node <= d.rank:
-                raise UnsupportedInputError(f"node {node} outside 1..{d.rank}")
-        key = (d.family, d.rank, tuple(sorted(self.I)), tuple(sorted(self.J)))
+        marks = kept | forgotten
+        if min(marks) < 1 or max(marks) > d.rank:
+            for node in marks:  # name the first offending node, as iterated
+                if not 1 <= node <= d.rank:
+                    raise UnsupportedInputError(f"node {node} outside 1..{d.rank}")
+        key = (d.family, d.rank, tuple(sorted(kept)), tuple(sorted(forgotten)))
         object.__setattr__(self, "_key", key)
 
     def key(self) -> tuple:
@@ -571,6 +584,11 @@ def obstruct_last_node(family: str, n: int, r: int) -> ObstructionOutcome:
 
 
 _DECISION_CACHE: Dict[tuple, NestingDecision] = {}
+# At exit the interpreter runs the cyclic collector over every live object,
+# several times, before it tears the modules down.  Emptying the cache first
+# frees the decisions by reference counting, so exiting does not take longer
+# the more decisions a run has made.
+atexit.register(_DECISION_CACHE.clear)
 
 
 def _canonical_marks(
@@ -580,7 +598,7 @@ def _canonical_marks(
     the diagram's symmetries, and the first symmetry reaching it; the symmetry
     is None when the given pair is already least."""
     best, best_sigma = (kept, forgotten), None
-    for sigma in diagram_automorphisms(d):
+    for sigma in nontrivial_automorphisms(d):
         cand = (
             tuple(sorted([sigma[i - 1] for i in kept])),
             tuple(sorted([sigma[j - 1] for j in forgotten])),
@@ -612,16 +630,35 @@ def _canonical_form(query: NestingQuery) -> Tuple[NestingQuery, List[TraceStep]]
 
 
 def classify(query: NestingQuery) -> NestingDecision:
-    """Decide whether the forgetful projection of the query admits a section."""
+    """Decide whether the forgetful projection of the query admits a section.
+
+    Decisions are memoized under the query as posed and, when that differs,
+    under its canonical form too, so a repeated query is one lookup."""
+    decision = _DECISION_CACHE.get(query.key())
+    if decision is not None:
+        return decision
     canon, relabel = _canonical_form(query)
-    key = canon.key()
-    cached = _DECISION_CACHE.get(key)
-    if cached is None:
+    decision = _DECISION_CACHE.get(canon.key())
+    if decision is None:
         result, steps = _decide(canon)
-        cached = _DECISION_CACHE[key] = NestingDecision(canon, result, tuple(steps))
+        decision = _DECISION_CACHE[canon.key()] = NestingDecision(canon, result, tuple(steps))
     if canon is query:
-        return cached
-    return NestingDecision(query, cached.result, tuple(relabel) + cached.trace)
+        return decision
+    decision = NestingDecision(query, decision.result, tuple(relabel) + decision.trace)
+    _DECISION_CACHE[query.key()] = decision
+    return decision
+
+
+def _classify_marks(
+    d: DynkinDiagram, kept: Tuple[int, ...], forgotten: Tuple[int, ...]
+) -> NestingDecision:
+    """classify() of the query on d with these sorted mark tuples; a query
+    decided before is looked up by its key (NestingQuery.key()) without
+    building or validating it again."""
+    decision = _DECISION_CACHE.get((d.family, d.rank, kept, forgotten))
+    if decision is None:
+        decision = classify(NestingQuery(d, frozenset(kept), frozenset(forgotten)))
+    return decision
 
 
 def _decide(q: NestingQuery) -> Tuple[str, List[TraceStep]]:
@@ -645,9 +682,10 @@ def _decide(q: NestingQuery) -> Tuple[str, List[TraceStep]]:
 
 def _decide_many_unmarked(q: NestingQuery) -> Tuple[str, List[TraceStep]]:
     d = q.diagram
+    kept = q.key()[2]
     steps: List[TraceStep] = []
     for j in sorted(q.J):
-        inner = classify(NestingQuery(d, q.I, frozenset([j])))
+        inner = _classify_marks(d, kept, (j,))
         steps.append(
             TraceStep(
                 "unmark-projection",
@@ -739,7 +777,7 @@ _CURVE_TAG_ANCHOR = (
 def _decide_many_marked(q: NestingQuery) -> Tuple[str, List[TraceStep]]:
     d = q.diagram
     j = next(iter(q.J))
-    cart = cartan_matrix(d)
+    cart = cartan_rows(d)
     steps: List[TraceStep] = []
     home = component_containing(d, q.I, j)
     anchors = sorted(i1 for i1 in q.I if _touches(cart, i1, home.parent_nodes))
@@ -748,10 +786,8 @@ def _decide_many_marked(q: NestingQuery) -> Tuple[str, List[TraceStep]]:
     for i1 in anchors:
         comp = component_containing(d, q.I - {i1}, j)
         sub = comp.diagram
-        inner_q = NestingQuery(
-            sub, frozenset([comp.own_node(i1)]), frozenset([comp.own_node(j)])
-        )
-        inner = classify(inner_q)
+        own_i, own_j = comp.own_node(i1), comp.own_node(j)
+        inner = _classify_marks(sub, (own_i,), (own_j,))
         steps.append(
             TraceStep(
                 "fiber-restriction",
@@ -761,7 +797,7 @@ def _decide_many_marked(q: NestingQuery) -> Tuple[str, List[TraceStep]]:
                 {
                     "kept_mark": i1,
                     "subdiagram": str(sub),
-                    "sub_marks": {"I": sorted(inner_q.I), "J": sorted(inner_q.J)},
+                    "sub_marks": {"I": [own_i], "J": [own_j]},
                     "verdict": inner.result,
                 },
             )
@@ -773,9 +809,7 @@ def _decide_many_marked(q: NestingQuery) -> Tuple[str, List[TraceStep]]:
             if not _touches(cart, i2, comp.parent_nodes):
                 continue
             t = restriction_tag(d, comp, i2)
-            blocked, data = _curve_tag_blocks(
-                sub, comp.own_node(i1), comp.own_node(j), t
-            )
+            blocked, data = _curve_tag_blocks(sub, own_i, own_j, t)
             data.update({"kept_mark": i1, "curve_mark": i2})
             steps.append(TraceStep("rational-curve-tag", _CURVE_TAG_ANCHOR, data))
             if blocked:
@@ -788,10 +822,8 @@ def _decide_interior_mark(q: NestingQuery, i: int, j: int) -> Tuple[str, List[Tr
     bar = component_containing(d, {i}, j)
     outside = frozenset(range(1, d.rank + 1)) - bar.parent_nodes
     comp = component_containing(d, outside - {i}, j)
-    inner_q = NestingQuery(
-        comp.diagram, frozenset([comp.own_node(i)]), frozenset([comp.own_node(j)])
-    )
-    inner = classify(inner_q)
+    own_i, own_j = comp.own_node(i), comp.own_node(j)
+    inner = _classify_marks(comp.diagram, (own_i,), (own_j,))
     steps = [
         TraceStep(
             "fiber-restriction",
@@ -801,7 +833,7 @@ def _decide_interior_mark(q: NestingQuery, i: int, j: int) -> Tuple[str, List[Tr
             {
                 "kept_mark": i,
                 "subdiagram": str(comp.diagram),
-                "sub_marks": {"I": sorted(inner_q.I), "J": sorted(inner_q.J)},
+                "sub_marks": {"I": [own_i], "J": [own_j]},
                 "verdict": inner.result,
             },
         )
@@ -811,7 +843,7 @@ def _decide_interior_mark(q: NestingQuery, i: int, j: int) -> Tuple[str, List[Tr
         return NOT_EXISTS, steps
     i2 = min(nb for nb in neighbors(d, i) if nb not in bar.parent_nodes)
     t = restriction_tag(d, comp, i2)
-    blocked, data = _curve_tag_blocks(comp.diagram, comp.own_node(i), comp.own_node(j), t)
+    blocked, data = _curve_tag_blocks(comp.diagram, own_i, own_j, t)
     data.update({"kept_mark": i, "curve_mark": i2})
     steps.append(TraceStep("rational-curve-tag", _CURVE_TAG_ANCHOR, data))
     if not blocked:
@@ -900,11 +932,17 @@ def _mark_pairs(d: DynkinDiagram, mode: str):
                     yield (i,), (j,)
         return
     for size in range(2, min(4, d.rank) + 1):
+        # positions of the kept and forgotten marks within a union, by bitmask
+        splits = [
+            (
+                [t for t in range(size) if bits >> t & 1],
+                [t for t in range(size) if not bits >> t & 1],
+            )
+            for bits in range(1, 2 ** size - 1)
+        ]
         for union in combinations(nodes, size):
-            for bits in range(1, 2 ** size - 1):
-                kept = tuple(x for t, x in enumerate(union) if bits >> t & 1)
-                forgotten = tuple(x for t, x in enumerate(union) if not bits >> t & 1)
-                yield kept, forgotten
+            for kept_at, forgotten_at in splits:
+                yield tuple([union[t] for t in kept_at]), tuple([union[t] for t in forgotten_at])
 
 
 def enumerate_nestings(max_rank: int, mode: str = "singletons") -> dict:

@@ -22,6 +22,11 @@ from .errors import UnsupportedFoldingError, UnsupportedInputError
 
 FAMILIES = ("A", "B", "C", "D", "G2")
 
+# The largest rank a diagram may have: the largest ranks with a measured cold
+# `classify` time in the README (A61, B60).  Far larger ranks only exhaust
+# memory building per-node tables, so they are rejected as unsupported input.
+MAX_RANK = 61
+
 
 @dataclass(frozen=True)
 class DynkinDiagram:
@@ -51,6 +56,8 @@ def diagram(family: str, rank: int) -> DynkinDiagram:
         if family == "G2" or rank == 2:
             return DynkinDiagram("G2", 2)
         raise UnsupportedInputError("G2 is the only supported exceptional diagram")
+    if rank > MAX_RANK:
+        raise UnsupportedInputError(f"rank {rank} is above the supported maximum {MAX_RANK}")
     if family == "A":
         if rank < 1:
             raise UnsupportedInputError("A requires rank >= 1")
@@ -135,17 +142,24 @@ def parse_marked(text: str) -> MarkedDiagram:
 # Pure functions of a diagram are computed once per process and kept as
 # immutable values; the public functions hand out fresh lists.
 _CARTAN_CACHE: Dict[DynkinDiagram, Tuple[Tuple[int, ...], ...]] = {}
+_ROOT_CACHE: Dict[DynkinDiagram, "RootSystem"] = {}
 _AUTOMORPHISM_CACHE: Dict[DynkinDiagram, Tuple[Tuple[int, ...], ...]] = {}
+_NONTRIVIAL_AUTOMORPHISM_CACHE: Dict[DynkinDiagram, Tuple[Tuple[int, ...], ...]] = {}
 _DELETION_CACHE: Dict[tuple, Tuple["Component", ...]] = {}
 _COMPONENTS: Dict["Component", "Component"] = {}  # one shared copy of each
 
 
 def cartan_matrix(d: DynkinDiagram) -> List[List[int]]:
     """C[i][j] = 2(a_i, a_j)/(a_i, a_i), returned as 0-based nested lists."""
+    return [list(row) for row in cartan_rows(d)]
+
+
+def cartan_rows(d: DynkinDiagram) -> Tuple[Tuple[int, ...], ...]:
+    """The Cartan matrix as the shared immutable rows kept for the diagram."""
     rows = _CARTAN_CACHE.get(d)
     if rows is None:
         rows = _CARTAN_CACHE[d] = tuple(map(tuple, _build_cartan(d)))
-    return [list(row) for row in rows]
+    return rows
 
 
 def _build_cartan(d: DynkinDiagram) -> List[List[int]]:
@@ -208,6 +222,13 @@ class RootSystem:
 
 def positive_roots(d: DynkinDiagram) -> RootSystem:
     """All positive roots as coefficient vectors over the simple roots."""
+    rs = _ROOT_CACHE.get(d)
+    if rs is None:
+        rs = _ROOT_CACHE[d] = _build_positive_roots(d)
+    return rs
+
+
+def _build_positive_roots(d: DynkinDiagram) -> RootSystem:
     n = d.rank
     roots: List[Tuple[int, ...]] = []
 
@@ -279,6 +300,17 @@ def diagram_automorphisms(d: DynkinDiagram) -> List[Tuple[int, ...]]:
     return list(perms)
 
 
+def nontrivial_automorphisms(d: DynkinDiagram) -> Tuple[Tuple[int, ...], ...]:
+    """The graph automorphisms other than the identity, as a shared immutable
+    tuple in the order of diagram_automorphisms; empty for B, C and G2."""
+    perms = _NONTRIVIAL_AUTOMORPHISM_CACHE.get(d)
+    if perms is None:
+        ident = tuple(d.nodes)
+        perms = tuple(p for p in diagram_automorphisms(d) if p != ident)
+        _NONTRIVIAL_AUTOMORPHISM_CACHE[d] = perms
+    return perms
+
+
 def _build_automorphisms(d: DynkinDiagram) -> List[Tuple[int, ...]]:
     n = d.rank
     ident = tuple(range(1, n + 1))
@@ -341,12 +373,8 @@ class Component:
         raise KeyError(parent)
 
 
-def delete_nodes(d: DynkinDiagram, removed) -> List[Component]:
-    """Connected components of the induced subdiagram on nodes - removed."""
-    return list(_components(d, removed))
-
-
 def _components(d: DynkinDiagram, removed) -> Tuple[Component, ...]:
+    """Connected components of the induced subdiagram on nodes - removed."""
     key = (d, frozenset(removed))
     comps = _DELETION_CACHE.get(key)
     if comps is None:
@@ -357,7 +385,7 @@ def _components(d: DynkinDiagram, removed) -> Tuple[Component, ...]:
 
 def _split(d: DynkinDiagram, removed: FrozenSet[int]) -> List[Component]:
     keep = [i for i in d.nodes if i not in removed]
-    c = cartan_matrix(d)
+    c = cartan_rows(d)
     adj: Dict[int, List[int]] = {
         i: [j for j in keep if j != i and c[i - 1][j - 1] != 0] for i in keep
     }

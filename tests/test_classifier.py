@@ -1,9 +1,14 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from flagnest import cohomology
+from flagnest import classifier, cohomology
 from flagnest.classifier import (
     EXISTS,
     NOT_EXISTS,
@@ -75,6 +80,28 @@ def test_validation_holds_after_valid_queries_on_the_same_diagram():
             query("A", 4, [1], [2, bad])
 
 
+@pytest.mark.parametrize(
+    "raw,kept,forgotten,message",
+    [
+        (DynkinDiagram("C", 2), [1], [2],
+         "C2 is stored as B2; pose the query on B2 so the node labels are unambiguous"),
+        (DynkinDiagram("D", 3), [1], [2],
+         "D3 is stored as A3; pose the query on A3 so the node labels are unambiguous"),
+        (DynkinDiagram("A", 4), [], [2], "both mark sets must be nonempty"),
+        (DynkinDiagram("A", 4), [1, 3], [3, 4], "mark sets must be disjoint"),
+        (DynkinDiagram("A", 4), [0], [2], "node 0 outside 1..4"),
+        (DynkinDiagram("A", 4), [1], [2, 5], "node 5 outside 1..4"),
+    ],
+    ids=["C2", "D3", "empty", "overlap", "node0", "node-rank-plus-one"],
+)
+def test_query_error_messages(raw, kept, forgotten, message):
+    # twice: the second query meets whatever the first left memoized
+    for _ in range(2):
+        with pytest.raises(UnsupportedInputError) as exc:
+            NestingQuery(raw, frozenset(kept), frozenset(forgotten))
+        assert str(exc.value) == message
+
+
 def test_query_key_is_sorted_and_computed_once():
     q = query("D", 6, [5, 1, 3], [6, 2])
     assert q.key() == ("D", 6, (1, 3, 5), (2, 6))
@@ -95,6 +122,23 @@ def test_canonical_form_returns_canonical_queries_unchanged():
         "from": {"I": [5], "J": [2]},
         "to": {"I": [1], "J": [4]},
     }
+
+
+@pytest.mark.parametrize(
+    "fam,n,kept,forgotten",
+    [("A", 7, [7], [2]), ("D", 6, [1, 6], [5]), ("D", 4, [4], [1, 3])],
+)
+def test_repeated_non_canonical_query_gives_the_same_decision(fam, n, kept, forgotten):
+    posed = query(fam, n, kept, forgotten)
+    first = classify(posed)
+    again = classify(query(fam, n, kept, forgotten))
+    assert classifier._DECISION_CACHE[posed.key()] is first
+    classifier._DECISION_CACHE.clear()
+    cold = classify(query(fam, n, kept, forgotten))
+    assert first.query == again.query == cold.query == posed
+    assert first.to_json() == again.to_json() == cold.to_json()
+    assert rules(cold)[0] == "diagram-symmetry"
+    assert classify(posed) is cold
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +425,46 @@ def test_enumerate_all_subsets_adds_no_positives():
     single = enumerate_nestings(5, "singletons")
     assert rep["exists"] == single["exists"]
     assert rep["classified"] > single["classified"]
+
+
+def test_all_subsets_count_equals_brute_force_orbit_count():
+    # every query is taken to its whole orbit under the diagram symmetries,
+    # so the count depends on no choice of canonical representative
+    total = 0
+    for fam, lo in (("A", 2), ("B", 2), ("C", 3), ("D", 4)):
+        for n in range(lo, 10):
+            autos = diagram_automorphisms(diagram(fam, n))
+            orbits = set()
+            for size in range(2, min(4, n) + 1):
+                for union in combinations(range(1, n + 1), size):
+                    for k in range(1, size):
+                        for kept in combinations(union, k):
+                            forgotten = set(union) - set(kept)
+                            orbits.add(frozenset(
+                                (apply_automorphism(s, kept), apply_automorphism(s, forgotten))
+                                for s in autos
+                            ))
+            total += len(orbits)
+    assert enumerate_nestings(9, "all-subsets")["classified"] == total
+
+
+def test_decisions_are_dropped_before_interpreter_teardown():
+    # exit handlers run last-registered first, so this one runs after the
+    # classifier's and sees what is left of the cache
+    code = (
+        "import atexit, sys\n"
+        "atexit.register(lambda: print(len(sys.modules['flagnest.classifier']._DECISION_CACHE)))\n"
+        "from flagnest.classifier import enumerate_nestings\n"
+        "print(enumerate_nestings(4)['classified'])\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    classified, left = proc.stdout.split()
+    assert int(classified) > 0 and left == "0"
 
 
 def test_enumerate_validates_arguments():

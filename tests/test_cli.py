@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +69,32 @@ def test_classify_bad_diagram_exits_two(capsys):
     code, _, err = run(capsys, "classify", "--diagram", "Z9", "--marked", "1", "--unmark", "2")
     assert code == 2
     assert "Z9" in err
+
+
+def _limit_memory():
+    # a regression here would allocate per-node tables until memory runs out
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv,rank",
+    [
+        (["classify", "--diagram", "A999999999999", "--marked", "1", "--unmark", "2"], 999999999999),
+        (["enumerate", "--max-rank", "999999999999"], 62),
+    ],
+    ids=["classify", "enumerate"],
+)
+def test_ranks_above_the_supported_bound_exit_two(argv, rank):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flagnest.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=env, preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"flagnest: unsupported input: rank {rank} is above the supported maximum 61\n"
+    assert proc.stdout == ""
 
 
 def test_bad_node_list_is_a_usage_error(capsys):

@@ -13,9 +13,9 @@ from flagnest.dynkin import (
     Tag,
     apply_automorphism,
     cartan_matrix,
+    cartan_rows,
     component_containing,
     coxeter_number,
-    delete_nodes,
     diagram,
     diagram_automorphisms,
     folding_from,
@@ -24,6 +24,7 @@ from flagnest.dynkin import (
     fundamental_degrees,
     marked,
     neighbors,
+    nontrivial_automorphisms,
     parse_diagram,
     parse_marked,
     parse_tag,
@@ -52,6 +53,18 @@ def test_low_rank_normalizations():
         diagram("D", 2)
     with pytest.raises(UnsupportedInputError):
         diagram("A", 0)
+
+
+def test_ranks_above_the_supported_bound_are_rejected():
+    top = dynkin.MAX_RANK
+    for fam in ("A", "B", "C", "D"):
+        assert diagram(fam, top) == dynkin.DynkinDiagram(fam, top)
+        with pytest.raises(UnsupportedInputError) as exc:
+            diagram(fam, top + 1)
+        assert str(exc.value) == f"rank {top + 1} is above the supported maximum {top}"
+    with pytest.raises(UnsupportedInputError):
+        parse_diagram("A999999999999")
+    assert parse_diagram("G2") == diagram("G", 2)
 
 
 def test_parse_round_trips():
@@ -133,18 +146,21 @@ def test_automorphisms_preserve_cartan_matrix():
 
 
 def test_delete_nodes_splits_d5():
-    comps = delete_nodes(diagram("D", 5), {2})
+    comps = dynkin._components(diagram("D", 5), {2})
     assert [c.diagram for c in comps] == [diagram("A", 1), diagram("A", 3)]
     tail = comps[1]
     assert tail.parent_nodes == frozenset({3, 4, 5})
     assert tail.parent_node(2) == 3
     assert {tail.parent_node(1), tail.parent_node(3)} == {4, 5}
+    assert component_containing(diagram("D", 5), {2}, 1) is comps[0]
+    assert component_containing(diagram("D", 5), {2}, 5) is tail
 
 
 def test_delete_nodes_keeps_double_edge_orientation():
-    comps = delete_nodes(diagram("C", 4), {1, 2})
+    comps = dynkin._components(diagram("C", 4), {1, 2})
     assert len(comps) == 1
     sub = comps[0]
+    assert component_containing(diagram("C", 4), {1, 2}, 3) is sub
     assert sub.diagram == diagram("B", 2)
     c = cartan_matrix(sub.diagram)
     assert c[1][0] == -2
@@ -174,11 +190,11 @@ def test_memoized_deletions_match_fresh_computation():
     # fill the memo in one order and with one argument type, read it back in
     # the reverse order with others, and compare with the uncached split
     for d, removed in cases:
-        delete_nodes(d, sorted(removed))
+        dynkin._components(d, sorted(removed))
     for d, removed in reversed(cases):
         fresh = dynkin._split(d, removed)
-        assert delete_nodes(d, set(removed)) == fresh
-        assert delete_nodes(d, tuple(removed)) == fresh
+        assert list(dynkin._components(d, set(removed))) == fresh
+        assert list(dynkin._components(d, tuple(removed))) == fresh
         for node in d.nodes:
             if node in removed:
                 with pytest.raises(UnsupportedInputError):
@@ -191,7 +207,23 @@ def test_memoized_deletions_match_fresh_computation():
 def test_memoized_cartan_and_automorphisms_match_fresh_computation():
     for d in _diagrams_up_to(9):
         assert cartan_matrix(d) == dynkin._build_cartan(d)
+        assert cartan_rows(d) == tuple(map(tuple, dynkin._build_cartan(d)))
+        assert cartan_rows(d) is cartan_rows(d)
         assert diagram_automorphisms(d) == dynkin._build_automorphisms(d)
+        others = [p for p in dynkin._build_automorphisms(d) if p != tuple(d.nodes)]
+        assert nontrivial_automorphisms(d) == tuple(others)
+        if d.family in ("B", "C", "G2") or d.rank == 1:
+            assert nontrivial_automorphisms(d) == ()
+
+
+def test_memoized_roots_match_fresh_computation():
+    for d in _diagrams_up_to(9):
+        fresh = dynkin._build_positive_roots(d)
+        assert positive_roots(d) == fresh
+        assert positive_roots(d) is positive_roots(d)
+        for node in d.nodes:
+            want = sum(1 for root in fresh.positive_roots if root[node - 1] != 0)
+            assert variety_dimension(marked(d, {node})) == want
 
 
 def test_returned_lists_are_fresh():
@@ -200,11 +232,10 @@ def test_returned_lists_are_fresh():
     c[0][0] = 99
     c.append([0])
     assert cartan_matrix(d) == dynkin._build_cartan(d)
-    comps = delete_nodes(d, {2})
-    want = list(comps)
-    comps.pop()
-    comps.append("junk")
-    assert delete_nodes(d, {2}) == want
+    comps = dynkin._components(d, {2})
+    with pytest.raises(AttributeError):  # the shared memo is an immutable tuple
+        comps.pop()
+    assert list(dynkin._components(d, {2})) == dynkin._split(d, frozenset({2}))
     autos = diagram_automorphisms(d)
     autos.clear()
     assert diagram_automorphisms(d) == dynkin._build_automorphisms(d)

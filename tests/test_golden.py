@@ -36,10 +36,18 @@ GOLDEN = [
         ("enumerate", "--max-rank", "8", "--mode", "all-subsets"),
         "6bb5a909bb523936a47ca43f18431c07300e8c6de4258f80389c5bf0f7683372",
     ),
+    (
+        ("enumerate", "--max-rank", "10", "--mode", "all-subsets"),
+        "9857059d611e0de39f0227a74ebe09da2be2efbe5b08bc3f65d4e8a72114aa90",
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN, ids=["singletons-rank12", "singletons-rank20", "all-subsets-rank8"])
+@pytest.mark.parametrize(
+    "argv,digest",
+    GOLDEN,
+    ids=["singletons-rank12", "singletons-rank20", "all-subsets-rank8", "all-subsets-rank10"],
+)
 def test_enumerate_json_digest(capsys, argv, digest):
     code = cli.main(list(argv) + ["--format", "json"])
     out = capsys.readouterr().out
