@@ -12,6 +12,7 @@ explicit construction realizing the section.
 """
 
 import atexit
+import gc
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -632,20 +633,33 @@ def _canonical_form(query: NestingQuery) -> Tuple[NestingQuery, List[TraceStep]]
 def classify(query: NestingQuery) -> NestingDecision:
     """Decide whether the forgetful projection of the query admits a section.
 
-    Decisions are memoized under the query as posed and, when that differs,
-    under its canonical form too, so a repeated query is one lookup."""
+    Only decisions that forget exactly one mark are memoized, since those
+    are the subqueries the cascade reads back.  Each is stored under its
+    canonical form and, when a symmetry relabels the query, under the query
+    as posed too, so a repeated one-mark query is one lookup.  A query that
+    forgets more marks is decided afresh each time it is asked: enumeration
+    decides each class once, and a CLI call asks one query."""
     decision = _DECISION_CACHE.get(query.key())
     if decision is not None:
         return decision
     canon, relabel = _canonical_form(query)
-    decision = _DECISION_CACHE.get(canon.key())
-    if decision is None:
-        result, steps = _decide(canon)
-        decision = _DECISION_CACHE[canon.key()] = NestingDecision(canon, result, tuple(steps))
+    decision = _classify_canonical(canon)
     if canon is query:
         return decision
     decision = NestingDecision(query, decision.result, tuple(relabel) + decision.trace)
-    _DECISION_CACHE[query.key()] = decision
+    if len(query.J) == 1:
+        _DECISION_CACHE[query.key()] = decision
+    return decision
+
+
+def _classify_canonical(canon: NestingQuery) -> NestingDecision:
+    """classify() of a query already in canonical form."""
+    decision = _DECISION_CACHE.get(canon.key())
+    if decision is None:
+        result, steps = _decide(canon)
+        decision = NestingDecision(canon, result, tuple(steps))
+        if len(canon.J) == 1:
+            _DECISION_CACHE[canon.key()] = decision
     return decision
 
 
@@ -952,6 +966,15 @@ def enumerate_nestings(max_rank: int, mode: str = "singletons") -> dict:
     every disjoint pair of mark sets spanning at most four nodes.  Queries
     equivalent under a diagram symmetry are classified once, under their
     canonical labels.
+
+    After each diagram the cyclic collector runs once and then every object
+    alive in the process, not only this module's, is frozen (gc.freeze), so
+    later collections skip it.  That is safe here: what survives a finished
+    diagram is almost all memoized decisions and module state, which live
+    until the cache is emptied at exit anyway.  Frozen objects are still
+    freed by reference counting; only a frozen object that later becomes
+    part of an unreachable cycle stays until exit.  Without the freeze every
+    full collection walks all cached decisions again and frees nothing.
     """
     if max_rank < 3:
         raise UnsupportedInputError("enumeration needs rank at least 3")
@@ -972,8 +995,10 @@ def enumerate_nestings(max_rank: int, mode: str = "singletons") -> dict:
             seen.add(marks)
             total += 1
             canon = NestingQuery(d, frozenset(marks[0]), frozenset(marks[1]))
-            if classify(canon).exists:
+            if _classify_canonical(canon).exists:
                 exists_rows.append(canon.to_json())
+        gc.collect()
+        gc.freeze()
     exists_rows.sort(
         key=lambda row: (row["diagram"][0], int(row["diagram"][1:]), row["I"], row["J"])
     )

@@ -528,25 +528,25 @@ def _linear_pivot(rel: GradedPoly, gens) -> Optional[Tuple[int, Scalar]]:
 
 def homogeneous_monomials(gens, degree: int) -> List[Tuple[int, ...]]:
     """All exponent tuples of the given weighted degree, in a fixed order."""
-    if degree < 0:
-        return []
     out: List[Tuple[int, ...]] = []
-    width = len(gens)
-
-    def rec(idx: int, remaining: int, prefix: List[int]):
-        if idx == width:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        _, d = gens[idx]
-        top = remaining // d
-        for e in range(top + 1):
-            prefix.append(e)
-            rec(idx + 1, remaining - e * d, prefix)
-            prefix.pop()
-
-    rec(0, degree, [])
+    if degree >= 0:
+        _extend_monomials(out, [d for _, d in gens], 0, degree, [])
     return out
+
+
+def _extend_monomials(out: list, degrees: List[int], idx: int, remaining: int, prefix: List[int]):
+    """Append to out every completion of prefix, from position idx on, whose
+    weighted degree is remaining; lexicographic order.  A module-level
+    function, not a closure, so a call leaves no reference cycle behind."""
+    if idx == len(degrees):
+        if remaining == 0:
+            out.append(tuple(prefix))
+        return
+    d = degrees[idx]
+    for e in range(remaining // d + 1):
+        prefix.append(e)
+        _extend_monomials(out, degrees, idx + 1, remaining - e * d, prefix)
+        prefix.pop()
 
 
 def _slice_rows(p: GradedPresentation, degree: int):

@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .dynkin import MAX_RANK
 from .errors import InternalInconsistencyError, UnsupportedInputError
 from .exactpoly import GaussRat, UniPoly, exact_div
 from .linalg import determinant, in_row_span, kernel_basis, row_echelon
@@ -631,6 +632,9 @@ def section_trials(kind: str, n: int, trials: int, seed: int) -> TrialReport:
         raise UnsupportedInputError("the point-hyperplane construction needs n >= 1")
     if kind == "D" and n < 2:
         raise UnsupportedInputError("the flag construction needs n >= 2")
+    if kind in ("A", "D") and n > MAX_RANK:
+        # the forms are dense 2n x 2n matrices, so a huge n exhausts memory
+        raise UnsupportedInputError(f"rank {n} is above the supported maximum {MAX_RANK}")
     rng = random.Random(seed)
     passed = 0
     failure = None

@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import os
 import subprocess
@@ -130,15 +131,23 @@ def test_canonical_form_returns_canonical_queries_unchanged():
 )
 def test_repeated_non_canonical_query_gives_the_same_decision(fam, n, kept, forgotten):
     posed = query(fam, n, kept, forgotten)
+    memoized = len(forgotten) == 1  # only one-mark decisions are cached
     first = classify(posed)
     again = classify(query(fam, n, kept, forgotten))
-    assert classifier._DECISION_CACHE[posed.key()] is first
+    if memoized:
+        assert classifier._DECISION_CACHE[posed.key()] is first
+    else:
+        assert posed.key() not in classifier._DECISION_CACHE
     classifier._DECISION_CACHE.clear()
     cold = classify(query(fam, n, kept, forgotten))
     assert first.query == again.query == cold.query == posed
     assert first.to_json() == again.to_json() == cold.to_json()
     assert rules(cold)[0] == "diagram-symmetry"
-    assert classify(posed) is cold
+    if memoized:
+        assert classify(posed) is cold
+    else:
+        assert posed.key() not in classifier._DECISION_CACHE
+        assert classify(posed).to_json() == cold.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +455,19 @@ def test_all_subsets_count_equals_brute_force_orbit_count():
                             ))
             total += len(orbits)
     assert enumerate_nestings(9, "all-subsets")["classified"] == total
+
+
+def test_enumeration_caches_only_one_mark_decisions_and_freezes_them():
+    enabled = gc.isenabled()
+    classifier._DECISION_CACHE.clear()
+    enumerate_nestings(8, "all-subsets")
+    assert gc.isenabled() == enabled
+    cache = classifier._DECISION_CACHE
+    assert cache and all(len(forgotten) == 1 for _, _, _, forgotten in cache)
+    assert gc.get_freeze_count() >= len(cache)
+    # frozen objects sit in the permanent generation, which get_objects skips
+    collected = {id(obj) for obj in gc.get_objects()}
+    assert not any(id(dec) in collected for dec in cache.values())
 
 
 def test_decisions_are_dropped_before_interpreter_teardown():

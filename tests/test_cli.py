@@ -81,8 +81,10 @@ def _limit_memory():
     [
         (["classify", "--diagram", "A999999999999", "--marked", "1", "--unmark", "2"], 999999999999),
         (["enumerate", "--max-rank", "999999999999"], 62),
+        (["verify-construction", "A", "--n", "999999999999", "--trials", "1"], 999999999999),
+        (["verify-construction", "D", "--n", "62", "--trials", "1"], 62),
     ],
-    ids=["classify", "enumerate"],
+    ids=["classify", "enumerate", "verify-A", "verify-D"],
 )
 def test_ranks_above_the_supported_bound_exit_two(argv, rank):
     src = str(Path(__file__).resolve().parent.parent / "src")

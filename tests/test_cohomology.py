@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -349,3 +350,15 @@ def test_presentation_json_export():
     assert doc["generators"] == [{"name": "Q1", "degree": 1}, {"name": "Q2", "degree": 2}]
     assert all(isinstance(r, dict) for r in doc["relations"])
     assert {"Q2": "2", "Q1^2": "-1"} in doc["relations"]
+
+
+def test_homogeneous_monomials_leaves_no_reference_cycle():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert homogeneous_monomials((("x", 1), ("y", 2), ("z", 3)), 6)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
