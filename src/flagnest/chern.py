@@ -18,7 +18,6 @@ recomputed as a direct Bareiss determinant by `schur_minor` and must agree.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -45,15 +44,12 @@ def _check_partition(lam: Partition) -> None:
 class ChernVector:
     """Entries (E_0=1, E_1, ..., E_r) against H^i on a dim-`ambient_dim` base.
 
-    `integral` asserts all entries are integers.  Half-integral data can be
-    carried with integral=False plus `integrality_mask` marking the indices
-    that are known to be integers.
+    `integral` asserts all entries are integers.
     """
 
     entries: Tuple[Fraction, ...]
     ambient_dim: int
     integral: bool = True
-    integrality_mask: Optional[Tuple[bool, ...]] = None
 
     def __post_init__(self):
         ent = tuple(Fraction(e) for e in self.entries)
@@ -71,8 +67,6 @@ class ChernVector:
             )
         if self.integral and any(e.denominator != 1 for e in ent):
             raise UnsupportedInputError(f"non-integer entry in integral vector: {ent}")
-        if self.integrality_mask is not None and len(self.integrality_mask) != len(ent):
-            raise UnsupportedInputError("integrality mask length mismatch")
 
     @property
     def r(self) -> int:
@@ -93,15 +87,6 @@ class ChernVector:
 
     def __str__(self):
         return "[%s]@dim%d" % (",".join(str(e) for e in self.entries), self.ambient_dim)
-
-
-def parse_chern_vector(text: str) -> ChernVector:
-    m = re.fullmatch(r"\[([^\]]*)\]@dim(\d+)", text.strip())
-    if not m:
-        raise UnsupportedInputError(f"cannot parse Chern vector {text!r}")
-    entries = tuple(Fraction(part) for part in m.group(1).split(","))
-    integral = all(e.denominator == 1 for e in entries)
-    return ChernVector(entries, int(m.group(2)), integral=integral)
 
 
 def chern_from_poly(p: UniPoly, ambient_dim: int) -> ChernVector:
@@ -167,8 +152,7 @@ _NEF_CACHE: Dict[Tuple[Tuple[Fraction, ...], int], NefResult] = {}
 
 
 def _order_key(lam: Partition) -> Tuple[int, Tuple[int, ...]]:
-    """Weight ascending, then reverse lexicographic: the scan order of
-    `exactpoly.partitions` run over weights 1, 2, ..."""
+    """Weight ascending, then reverse lexicographic within a weight."""
     return sum(lam), tuple(-p for p in lam)
 
 
@@ -191,8 +175,8 @@ def nef_feasible(c: ChernVector) -> NefResult:
     kept, so a level holds the nonzero minors of one length, not every
     partition.  Integral vectors run in int arithmetic.
 
-    On failure the first violating partition in ascending weight (then the
-    reverse lexicographic order of `exactpoly.partitions`) is reported.
+    On failure the first violating partition in ascending weight, then
+    reverse lexicographic order, is reported.
     Its minor is recomputed as a direct determinant by `schur_minor`, which
     must agree with the recursion, so every refutation is self-checking.
     """
@@ -254,47 +238,6 @@ def nef_feasible(c: ChernVector) -> NefResult:
         result = NefResult(False, witness, direct)
     _NEF_CACHE[key] = result
     return result
-
-
-def lemma_c1_consequences(c: ChernVector) -> Dict[str, object]:
-    """What nefness forces on the low entries of an integral Chern vector.
-
-    Writing r for the effective degree and s = min(r - 1, ambient // 2):
-    entries stay strictly positive up to r (zeroes only as a tail), and for
-    s >= 1 the prefix is either all ones (through s + 1) or all >= 2
-    (through s).  A nef-feasible input that violates this exposes a bug, so
-    violations raise InternalInconsistencyError rather than returning.
-    """
-    if not c.integral:
-        raise UnsupportedInputError("consequence report requires an integral vector")
-    nef = nef_feasible(c)
-    if not nef:
-        raise UnsupportedInputError(
-            "consequence report requires a nef-feasible vector; witness "
-            f"{partition_str(nef.witness)}"
-        )
-    r_eff = c.effective_degree
-    if any(c.entries[i] <= 0 for i in range(1, r_eff + 1)):
-        raise InternalInconsistencyError(
-            f"nef-feasible vector {c} has a non-positive entry below its "
-            "effective degree"
-        )
-    s = min(r_eff - 1, c.ambient_dim // 2)
-    if s < 0:
-        s = 0
-    all_ones = all(c.entry(i) == 1 for i in range(1, s + 2))
-    geq_two = all(c.entry(i) >= 2 for i in range(1, s + 1))
-    if s >= 1 and not (all_ones or geq_two):
-        raise InternalInconsistencyError(
-            f"nef-feasible vector {c} fits neither prefix branch (s={s})"
-        )
-    return {
-        "effective_degree": r_eff,
-        "s": s,
-        "first_zero_tail_ok": True,
-        "all_ones_prefix": all_ones,
-        "geq_two_prefix": geq_two,
-    }
 
 
 def schwarzenberger_s33(c: ChernVector) -> bool:

@@ -11,7 +11,6 @@ are recorded rather than recomputed; a positive decision ends by naming the
 explicit construction realizing the section.
 """
 
-import atexit
 import gc
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -585,11 +584,6 @@ def obstruct_last_node(family: str, n: int, r: int) -> ObstructionOutcome:
 
 
 _DECISION_CACHE: Dict[tuple, NestingDecision] = {}
-# At exit the interpreter runs the cyclic collector over every live object,
-# several times, before it tears the modules down.  Emptying the cache first
-# frees the decisions by reference counting, so exiting does not take longer
-# the more decisions a run has made.
-atexit.register(_DECISION_CACHE.clear)
 
 
 def _canonical_marks(
@@ -878,10 +872,8 @@ def _positive_label(q: NestingQuery) -> Optional[str]:
         return "symplectic point-hyperplane flag (nesting_A)"
     if d.family == "B" and n == 3 and q.I == frozenset([1]) and q.J == frozenset([3]):
         return "octonion point-plane flag (nesting_B3)"
-    if d.family == "D":
-        want, _ = _canonical_form(NestingQuery(d, frozenset([n - 1]), frozenset([n])))
-        if (q.I, q.J) == (want.I, want.J):
-            return "isotropic flag completion (nesting_D)"
+    if d.family == "D" and q.key()[2:] == _canonical_marks(d, (n - 1,), (n,))[0]:
+        return "isotropic flag completion (nesting_D)"
     return None
 
 
@@ -971,10 +963,10 @@ def enumerate_nestings(max_rank: int, mode: str = "singletons") -> dict:
     alive in the process, not only this module's, is frozen (gc.freeze), so
     later collections skip it.  That is safe here: what survives a finished
     diagram is almost all memoized decisions and module state, which live
-    until the cache is emptied at exit anyway.  Frozen objects are still
-    freed by reference counting; only a frozen object that later becomes
-    part of an unreachable cycle stays until exit.  Without the freeze every
-    full collection walks all cached decisions again and frees nothing.
+    until exit anyway.  Frozen objects are still freed by reference
+    counting; only a frozen object that later becomes part of an unreachable
+    cycle stays until exit.  Without the freeze every full collection walks
+    all cached decisions again and frees nothing.
     """
     if max_rank < 3:
         raise UnsupportedInputError("enumeration needs rank at least 3")

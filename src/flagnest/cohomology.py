@@ -69,29 +69,6 @@ class GradedPresentation:
         }
 
 
-@dataclass(frozen=True)
-class BundleChernData:
-    """Chern polynomial of one of the universal bundles, or of its pullback.
-
-    ``rank_bound`` is the degree bound of the tabulated polynomial, recorded
-    so callers can sanity-check truncations; ``pulled_back`` says whether the
-    bundle lives on the two-step flag rather than on the base Grassmannian.
-    """
-
-    variety: MarkedDiagram
-    bundle: str
-    chern_polynomial: UniPoly
-    rank_bound: int
-    pulled_back: bool
-
-    def __post_init__(self):
-        deg = self.chern_polynomial.degree
-        if deg is not None and deg > self.rank_bound:
-            raise InternalInconsistencyError(
-                f"chern polynomial degree {deg} exceeds rank bound {self.rank_bound}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # Series helpers.  All the relation sets are Coeff_+ of products of these.
 
@@ -262,56 +239,6 @@ def presentation(v: MarkedDiagram) -> GradedPresentation:
         p = _last_presentation(v, r)
     _PRESENTATION_CACHE[key] = p
     return p
-
-
-# ---------------------------------------------------------------------------
-# Universal bundles
-
-
-def universal_chern(v: MarkedDiagram, bundle: str) -> BundleChernData:
-    """Chern polynomial of a universal bundle (or its pullback) on v.
-
-    Supported pairs: Q on a maximal isotropic Grassmannian; Q, S_dual and (on
-    B/C/D) K on the {1, r} flags; Q and S_dual on the {r, n} flags.  The
-    polynomial is written over the generator table of ``presentation(v)``.
-    """
-    if bundle not in ("Q", "S_dual", "K"):
-        raise UnsupportedInputError(f"unknown bundle tag {bundle!r}")
-    shape, r = _mark_shape(v)
-    family, n = v.diagram.family, v.diagram.rank
-    p = presentation(v)
-    table = p.generators
-    if shape == "top":
-        if bundle != "Q":
-            raise UnsupportedInputError(f"no tabulated Chern polynomial for {bundle} on {v}")
-        poly = _series(table, {i: f"Q{i}" for i in range(1, n + 1)}, n)
-        return BundleChernData(v, "Q", poly, n, False)
-    if shape == "first":
-        h = GradedPoly.generator(table, "h")
-        a = _series(table, {i: f"a{i}" for i in range(1, r)}, r - 1)
-        if bundle == "Q":
-            poly = UniPoly([_one(table), h]) * a
-            return BundleChernData(v, "Q", poly, r, True)
-        if family == "A":
-            if bundle == "S_dual":
-                poly = _series(table, {i: f"s{i}" for i in range(1, n - r + 2)}, n - r + 1)
-                return BundleChernData(v, "S_dual", poly, n - r + 1, True)
-            raise UnsupportedInputError(f"no tabulated Chern polynomial for {bundle} on {v}")
-        k = _series(table, {2 * i: f"k{2 * i}" for i in range(1, n - r + 1)}, 2 * (n - r))
-        if bundle == "K":
-            return BundleChernData(v, "K", k, 2 * (n - r), True)
-        poly = UniPoly([_one(table), -h]) * a.substitute_neg() * k
-        return BundleChernData(v, "S_dual", poly, 2 * n - r, True)
-    if shape == "last":
-        q = _series(table, {i: f"q{i}" for i in range(1, r + 1)}, r)
-        if bundle == "Q":
-            return BundleChernData(v, "Q", q, r, True)
-        if bundle == "S_dual":
-            b = _series(table, {i: f"b{i}" for i in range(1, n - r + 1)}, n - r)
-            poly = q.substitute_neg() * b * b.substitute_neg()
-            return BundleChernData(v, "S_dual", poly, 2 * n - r, True)
-        raise UnsupportedInputError(f"no tabulated Chern polynomial for {bundle} on {v}")
-    raise UnsupportedInputError(f"no tabulated Chern polynomials on {v}")
 
 
 def pullback_identities_check(family: str, n: int, r: int) -> bool:

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .dynkin import MAX_RANK
 from .errors import InternalInconsistencyError, UnsupportedInputError
@@ -152,24 +152,6 @@ def nesting_A_cohomology_solver(m: int):
     return frozenset(roots)
 
 
-def symplectic_distinctness_check(n: int, points: int, seed: int) -> bool:
-    """Two non-proportional forms must disagree on some sampled point."""
-    if n < 2:
-        raise UnsupportedInputError("proportionality is only interesting from n = 2 on")
-    plain = standard_symplectic(n)
-    rows = [[Fraction(0)] * 2 * n for _ in range(2 * n)]
-    for i in range(n):
-        rows[i][n + i] = Fraction(i + 1)
-        rows[n + i][i] = Fraction(-(i + 1))
-    weighted = SymplecticSpace(2 * n, _freeze(rows))
-    rng = random.Random(seed)
-    for _ in range(points):
-        pt = _random_nonzero_vector(rng, 2 * n)
-        if nesting_A(plain, pt)[1] != nesting_A(weighted, pt)[1]:
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Octonions and the quadric construction
 
@@ -206,18 +188,10 @@ class Octonion:
         object.__setattr__(self, "coords", cs)
 
     @staticmethod
-    def of(values) -> "Octonion":
-        return Octonion(tuple(values))
-
-    @staticmethod
     def unit(i: int) -> "Octonion":
         if not 0 <= i <= 7:
             raise UnsupportedInputError("basis index out of range")
         return Octonion(tuple(GaussRat(1 if k == i else 0) for k in range(8)))
-
-    @staticmethod
-    def zero() -> "Octonion":
-        return Octonion((GaussRat(0),) * 8)
 
     @staticmethod
     def one() -> "Octonion":
@@ -262,18 +236,6 @@ class Octonion:
         for c in self.coords:
             total = total + c * c
         return total
-
-
-def octonion_mul(x: Octonion, y: Octonion) -> Octonion:
-    return x * y
-
-
-def octonion_conj(x: Octonion) -> Octonion:
-    return x.conj()
-
-
-def octonion_norm(x: Octonion) -> GaussRat:
-    return x.norm()
 
 
 def nesting_B3(a: Octonion, x: Octonion) -> Matrix:

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
-from .errors import UnsupportedFoldingError, UnsupportedInputError
+from .errors import UnsupportedInputError
 
 FAMILIES = ("A", "B", "C", "D", "G2")
 
@@ -489,18 +489,6 @@ class Tag:
         return f"{self.diagram}[{','.join(str(v) for v in self.values)}]"
 
 
-_TAG_RE = re.compile(r"^([^()\[\]]+)\[([\d,\s]*)\]$")
-
-
-def parse_tag(text: str) -> Tag:
-    m = _TAG_RE.match(text.strip())
-    if not m:
-        raise UnsupportedInputError(f"cannot parse tag {text!r}")
-    d = parse_diagram(m.group(1))
-    values = tuple(int(x) for x in m.group(2).split(",") if x.strip())
-    return Tag(d, values)
-
-
 def restriction_tag(parent: DynkinDiagram, sub: Component, external_node: int) -> Tag:
     """Tag of the homogeneous bundle cut out on a deletion component by a
     rational curve in the direction of an external node: the negated Cartan
@@ -522,14 +510,11 @@ def restriction_tag(parent: DynkinDiagram, sub: Component, external_node: int) -
 @dataclass(frozen=True)
 class Folding:
     label: str
-    usable: bool
-    source: Optional[DynkinDiagram] = None
-    target: Optional[DynkinDiagram] = None
-    node_map: Optional[Tuple[Tuple[int, int], ...]] = None  # (source, target)
+    source: DynkinDiagram
+    target: DynkinDiagram
+    node_map: Tuple[Tuple[int, int], ...]  # (source, target)
 
     def fibers(self) -> Dict[int, FrozenSet[int]]:
-        if self.node_map is None:
-            raise UnsupportedFoldingError(f"{self.label} carries no node map")
         out: Dict[int, set] = {}
         for s, t in self.node_map:
             out.setdefault(t, set()).add(s)
@@ -543,7 +528,6 @@ def _fold_a_to_c(source_rank: int) -> Folding:
     node_map = tuple((i, min(i, source_rank + 1 - i)) for i in range(1, source_rank + 1))
     return Folding(
         label=f"A{source_rank}->C{half}",
-        usable=True,
         source=DynkinDiagram("A", source_rank),
         target=diagram("C", half),
         node_map=node_map,
@@ -558,7 +542,6 @@ def _fold_d_to_b(source_rank: int) -> Folding:
     )
     return Folding(
         label=f"D{source_rank}->B{source_rank - 1}",
-        usable=True,
         source=DynkinDiagram("D", source_rank),
         target=diagram("B", source_rank - 1),
         node_map=node_map,
@@ -568,40 +551,25 @@ def _fold_d_to_b(source_rank: int) -> Folding:
 def _fold_b3_to_g2() -> Folding:
     return Folding(
         label="B3->G2",
-        usable=True,
         source=DynkinDiagram("B", 3),
         target=DynkinDiagram("G2", 2),
         node_map=((1, 1), (2, 2), (3, 1)),
     )
 
 
-def foldings() -> List[Folding]:
-    """The five admissible foldings; the two exceptional-target ones are
-    metadata only and refuse downstream use."""
-    return [
-        _fold_a_to_c(3),
-        _fold_d_to_b(4),
-        Folding(label="E6->F4", usable=False),
-        Folding(label="D4->G2", usable=False),
-        _fold_b3_to_g2(),
-    ]
-
-
 def folding_from(source: DynkinDiagram) -> Folding:
-    """The usable folding whose source is the given diagram."""
+    """The folding whose source is the given diagram."""
     if source.family == "A" and source.rank >= 3 and source.rank % 2 == 1:
         return _fold_a_to_c(source.rank)
     if source.family == "D":
         return _fold_d_to_b(source.rank)
     if source.family == "B" and source.rank == 3:
         return _fold_b3_to_g2()
-    raise UnsupportedInputError(f"no usable folding with source {source}")
+    raise UnsupportedInputError(f"no folding with source {source}")
 
 
 def folding_tag_condition(f: Folding, t: Tag) -> bool:
     """True iff the tag is constant on every fiber of the folding."""
-    if not f.usable:
-        raise UnsupportedFoldingError(f"{f.label} is metadata only")
     if t.diagram != f.source:
         raise UnsupportedInputError("tag is indexed by a different diagram")
     for fiber in f.fibers().values():

@@ -5,9 +5,5 @@ class UnsupportedInputError(ValueError):
     """Input outside the engine's declared domain (bad diagram, bad shape)."""
 
 
-class UnsupportedFoldingError(UnsupportedInputError):
-    """A metadata-only folding was asked to do real work."""
-
-
 class InternalInconsistencyError(RuntimeError):
     """A dichotomy the theory guarantees was violated; indicates a bug."""

@@ -77,10 +77,6 @@ class GaussRat:
         object.__setattr__(self, "im", _as_fraction(im))
 
     @staticmethod
-    def i() -> "GaussRat":
-        return GaussRat(0, 1)
-
-    @staticmethod
     def of(value) -> "GaussRat":
         if isinstance(value, GaussRat):
             return value
@@ -580,14 +576,3 @@ def _monomial_str(gens, expo) -> str:
         elif e > 1:
             bits.append(f"{name}^{e}")
     return "*".join(bits) if bits else "1"
-
-
-def partitions(weight: int, max_part: Optional[int] = None):
-    """Yield all partitions of exactly `weight` as weakly decreasing tuples."""
-    if weight == 0:
-        yield ()
-        return
-    cap = weight if max_part is None else min(max_part, weight)
-    for first in range(cap, 0, -1):
-        for rest in partitions(weight - first, first):
-            yield (first,) + rest

@@ -45,10 +45,6 @@ def row_echelon(rows: Sequence[Sequence]) -> Tuple[List[list], List[int]]:
     return mat[:row], pivots
 
 
-def matrix_rank(rows: Sequence[Sequence]) -> int:
-    return len(row_echelon(rows)[0])
-
-
 def kernel_basis(
     rows: Sequence[Sequence],
     ncols: Optional[int] = None,
@@ -80,10 +76,6 @@ def in_row_span(echelon: Sequence[Sequence], pivots: Sequence[int], vector: Sequ
             factor = v[p]
             v = [a - factor * b for a, b in zip(v, r)]
     return all(x == 0 for x in v)
-
-
-def mat_vec(rows: Sequence[Sequence], vec: Sequence) -> list:
-    return [sum((a * b for a, b in zip(r, vec)), start=r[0] * 0) for r in rows]
 
 
 def determinant(rows: Sequence[Sequence]):

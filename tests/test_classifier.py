@@ -1,11 +1,7 @@
 import copy
 import gc
 import json
-import os
-import subprocess
-import sys
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
@@ -468,25 +464,6 @@ def test_enumeration_caches_only_one_mark_decisions_and_freezes_them():
     # frozen objects sit in the permanent generation, which get_objects skips
     collected = {id(obj) for obj in gc.get_objects()}
     assert not any(id(dec) in collected for dec in cache.values())
-
-
-def test_decisions_are_dropped_before_interpreter_teardown():
-    # exit handlers run last-registered first, so this one runs after the
-    # classifier's and sees what is left of the cache
-    code = (
-        "import atexit, sys\n"
-        "atexit.register(lambda: print(len(sys.modules['flagnest.classifier']._DECISION_CACHE)))\n"
-        "from flagnest.classifier import enumerate_nestings\n"
-        "print(enumerate_nestings(4)['classified'])\n"
-    )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    classified, left = proc.stdout.split()
-    assert int(classified) > 0 and left == "0"
 
 
 def test_enumerate_validates_arguments():

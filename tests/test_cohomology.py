@@ -4,8 +4,6 @@ from fractions import Fraction
 import pytest
 
 from flagnest.cohomology import (
-    BundleChernData,
-    GradedPresentation,
     degree_ledger,
     eliminate_even_generators,
     homogeneous_monomials,
@@ -14,7 +12,6 @@ from flagnest.cohomology import (
     pullback_identities_check,
     pullback_product_collapse_check,
     slice_dimension,
-    universal_chern,
 )
 from flagnest.dynkin import diagram, marked
 from flagnest.errors import UnsupportedInputError
@@ -149,53 +146,6 @@ def test_relation_degree_inventory_across_ranks():
                     evens = list(range(2, 2 * n + 1, 2))
                     extra = [n] if family == "D" else []
                     assert first.relation_degrees() == sorted(evens + extra)
-
-
-# ---------------------------------------------------------------------------
-# Universal bundles
-
-
-def test_universal_chern_on_isotropic_grassmannian():
-    d = universal_chern(marked(diagram("B", 4), {4}), "Q")
-    assert d.rank_bound == 4 and not d.pulled_back
-    assert isinstance(d, BundleChernData)
-    table = d.chern_polynomial.coeff(1).gens
-    for i in range(1, 5):
-        assert d.chern_polynomial.coeff(i) == GradedPoly.generator(table, f"Q{i}")
-
-
-def test_universal_chern_rows():
-    q = universal_chern(marked(diagram("C", 4), {1, 2}), "Q")
-    assert (q.rank_bound, q.pulled_back) == (2, True)
-    table = q.chern_polynomial.coeff(1).gens
-    h = GradedPoly.generator(table, "h")
-    a1 = GradedPoly.generator(table, "a1")
-    assert q.chern_polynomial.coeff(1) == h + a1
-    assert q.chern_polynomial.coeff(2) == h * a1
-
-    s = universal_chern(marked(diagram("C", 4), {1, 2}), "S_dual")
-    assert s.rank_bound == 6 and s.chern_polynomial.degree == 6
-    k = universal_chern(marked(diagram("C", 4), {1, 2}), "K")
-    assert k.rank_bound == 4
-    assert k.chern_polynomial.coeff(2) == GradedPoly.generator(k.chern_polynomial.coeff(2).gens, "k2")
-
-    sa = universal_chern(marked(diagram("A", 4), {1, 2}), "S_dual")
-    assert sa.rank_bound == 3
-
-    last = universal_chern(marked(diagram("D", 5), {2, 5}), "S_dual")
-    assert last.rank_bound == 8 and last.chern_polynomial.degree == 8
-
-
-def test_universal_chern_unsupported_pairs():
-    for v, bundle in [
-        (marked(diagram("A", 4), {1, 2}), "K"),
-        (marked(diagram("B", 4), {4}), "S_dual"),
-        (marked(diagram("B", 4), {1}), "Q"),
-    ]:
-        with pytest.raises(UnsupportedInputError):
-            universal_chern(v, bundle)
-    with pytest.raises(UnsupportedInputError):
-        universal_chern(marked(diagram("B", 4), {4}), "tangent")
 
 
 def test_pullback_identities_examples():

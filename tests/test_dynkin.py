@@ -20,19 +20,16 @@ from flagnest.dynkin import (
     diagram_automorphisms,
     folding_from,
     folding_tag_condition,
-    foldings,
     fundamental_degrees,
     marked,
-    neighbors,
     nontrivial_automorphisms,
     parse_diagram,
     parse_marked,
-    parse_tag,
     positive_roots,
     restriction_tag,
     variety_dimension,
 )
-from flagnest.errors import UnsupportedFoldingError, UnsupportedInputError
+from flagnest.errors import UnsupportedInputError
 
 
 def test_cartan_matrix_conventions():
@@ -73,10 +70,11 @@ def test_parse_round_trips():
     m = parse_marked("D4(2,4)")
     assert m.diagram == diagram("D", 4)
     assert m.marked == frozenset({2, 4})
+    assert str(m) == "D4(2,4)" and parse_marked(str(m)) == m
+    for d in (diagram("A", 1), diagram("C", 5), diagram("D", 7), diagram("G2", 2)):
+        assert parse_diagram(str(d)) == d
     with pytest.raises(UnsupportedInputError):
         parse_marked("B3()")
-    t = parse_tag("A3[1,0,0]")
-    assert t.values == (1, 0, 0)
 
 
 def test_fundamental_degrees_table_order():
@@ -255,14 +253,13 @@ def test_restriction_tag_values():
 
 
 def test_foldings_inventory():
-    all_folds = foldings()
-    assert len(all_folds) == 5
-    usable = [f for f in all_folds if f.usable]
-    assert len(usable) == 3
-    meta = [f for f in all_folds if not f.usable]
-    for f in meta:
-        with pytest.raises(UnsupportedFoldingError):
-            f.fibers()
+    for source, label in ((("A", 3), "A3->C2"), (("D", 4), "D4->B3"), (("B", 3), "B3->G2")):
+        f = folding_from(diagram(*source))
+        assert f.label == label and f.source == diagram(*source)
+        fibers = f.fibers()
+        assert sorted(fibers) == list(f.target.nodes)
+        assert sorted(i for fiber in fibers.values() for i in fiber) == list(f.source.nodes)
+        assert folding_tag_condition(f, Tag(f.source, (1,) * f.source.rank))
 
 
 def test_folding_fibers():
@@ -288,9 +285,11 @@ def test_folding_tag_condition():
     fd = folding_from(diagram("D", 4))
     assert folding_tag_condition(fd, Tag(diagram("D", 4), (0, 1, 2, 2)))
     assert not folding_tag_condition(fd, Tag(diagram("D", 4), (0, 1, 2, 1)))
-    meta = [f for f in foldings() if not f.usable][0]
-    with pytest.raises(UnsupportedFoldingError):
-        folding_tag_condition(meta, Tag(diagram("A", 3), (1, 0, 1)))
+    fb = folding_from(diagram("B", 3))
+    assert folding_tag_condition(fb, Tag(diagram("B", 3), (2, 0, 2)))
+    assert not folding_tag_condition(fb, Tag(diagram("B", 3), (0, 0, 1)))
+    with pytest.raises(UnsupportedInputError):
+        folding_tag_condition(fb, Tag(diagram("A", 3), (1, 0, 1)))
 
 
 @given(st.integers(min_value=2, max_value=8), st.data())

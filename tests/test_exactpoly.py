@@ -1,6 +1,6 @@
 """Exact arithmetic layer: Gaussian rationals, dense univariate polynomials
-(plain and with graded-ring coefficients), graded multivariate polynomials,
-and partition generation."""
+(plain and with graded-ring coefficients), and graded multivariate
+polynomials."""
 
 import operator
 import random
@@ -16,7 +16,6 @@ from flagnest.exactpoly import (
     UniPoly,
     coeff_plus,
     exact_div,
-    partitions,
 )
 from flagnest.cohomology import GradedPresentation, in_relation_slice, slice_dimension
 from flagnest.dynkin import diagram, marked
@@ -50,7 +49,7 @@ def test_gauss_conjugation(a, b):
 
 
 def test_gauss_basics():
-    i = GaussRat.i()
+    i = GaussRat(0, 1)
     assert i * i == GaussRat(-1)
     assert GaussRat.of(Fraction(1, 2)) == GaussRat(Fraction(1, 2), 0)
     assert GaussRat(0, 0).is_zero()
@@ -142,22 +141,6 @@ def test_graded_poly_substitute():
     p = k + h * h
     q = p.substitute("k", -(h * h))
     assert q.is_zero()
-
-
-def test_partitions_of_eight():
-    parts = list(partitions(8))
-    assert len(parts) == 22
-    assert len(set(parts)) == 22
-    for lam in parts:
-        assert sum(lam) == 8
-        assert all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
-
-
-def test_partitions_max_part():
-    capped = list(partitions(8, max_part=2))
-    assert len(capped) == 5
-    assert all(lam[0] <= 2 for lam in capped)
-    assert list(partitions(0)) == [()]
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,7 @@ import random
 from fractions import Fraction
 
 from flagnest.exactpoly import GaussRat
-from flagnest.linalg import (
-    determinant,
-    in_row_span,
-    kernel_basis,
-    mat_vec,
-    matrix_rank,
-    row_echelon,
-)
+from flagnest.linalg import determinant, in_row_span, kernel_basis, row_echelon
 
 
 def cofactor_det(m):
@@ -53,7 +46,6 @@ def test_row_echelon_and_rank():
     ech, pivots = row_echelon(rows)
     assert pivots == [0, 1]
     assert len(ech) == 2
-    assert matrix_rank(rows) == 2
 
 
 def test_in_row_span():
@@ -70,13 +62,13 @@ def test_kernel_basis_annihilates():
         ncols = rng.randint(1, 5)
         rows = [[Fraction(rng.randint(-3, 3)) for _ in range(ncols)] for _ in range(nrows)]
         basis = kernel_basis(rows, ncols=ncols)
-        assert len(basis) == ncols - matrix_rank(rows)
+        assert len(basis) == ncols - len(row_echelon(rows)[0])
         for vec in basis:
-            assert all(v == 0 for v in mat_vec(rows, vec))
+            assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
 
 
 def test_kernel_basis_over_gaussian_rationals():
-    i = GaussRat.i()
+    i = GaussRat(0, 1)
     one = GaussRat(1)
     rows = [[one, i]]
     basis = kernel_basis(rows, ncols=2, zero=GaussRat(0), one=one)

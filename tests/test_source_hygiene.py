@@ -1,0 +1,56 @@
+"""Source hygiene of the package: no dead public definitions, no unused imports.
+
+A public module-level function or class that nothing in the package refers
+to is code no decision, CLI verb or self-check reaches; an import that its
+module never uses is dead weight.  Both checks read the source with `ast`
+only, so they import nothing from the package.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "flagnest"
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def _referenced_names(node):
+    """How often each name or attribute name is used under `node`."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_public_definition_is_referenced_in_the_package():
+    modules = _modules()
+    used = sum((_referenced_names(tree) for tree in modules.values()), Counter())
+    unreferenced = [
+        f"{mod}.{defn.name}"
+        for mod, tree in modules.items()
+        for defn in tree.body
+        if isinstance(defn, (ast.FunctionDef, ast.ClassDef))
+        and not defn.name.startswith("_")
+        # uses inside the definition's own body do not count
+        and used[defn.name] == _referenced_names(defn)[defn.name]
+    ]
+    assert unreferenced == []
+
+
+def test_no_module_has_an_unused_import():
+    unused = []
+    for mod, tree in _modules().items():
+        used = _referenced_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{mod}: {alias.name}")
+    assert unused == []
