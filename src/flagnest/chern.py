@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .errors import InternalInconsistencyError, UnsupportedInputError
-from .exactpoly import UniPoly, exact_div
+from .exactpoly import Scalar, UniPoly, _as_rational, exact_div
 
 Partition = Tuple[int, ...]
 
@@ -44,15 +44,15 @@ def _check_partition(lam: Partition) -> None:
 class ChernVector:
     """Entries (E_0=1, E_1, ..., E_r) against H^i on a dim-`ambient_dim` base.
 
-    `integral` asserts all entries are integers.
+    Entries are kept in exactpoly's normal form, an int where integral and a
+    Fraction otherwise, so an integral vector runs in int arithmetic.
     """
 
-    entries: Tuple[Fraction, ...]
+    entries: Tuple[Scalar, ...]
     ambient_dim: int
-    integral: bool = True
 
     def __post_init__(self):
-        ent = tuple(Fraction(e) for e in self.entries)
+        ent = tuple(_as_rational(e) for e in self.entries)
         object.__setattr__(self, "entries", ent)
         if not ent:
             raise UnsupportedInputError("Chern vector needs at least E_0")
@@ -65,12 +65,14 @@ class ChernVector:
                 f"vector of length {self.r} does not fit ambient dimension "
                 f"{self.ambient_dim}"
             )
-        if self.integral and any(e.denominator != 1 for e in ent):
-            raise UnsupportedInputError(f"non-integer entry in integral vector: {ent}")
 
     @property
     def r(self) -> int:
         return len(self.entries) - 1
+
+    @property
+    def integral(self) -> bool:
+        return all(type(e) is int for e in self.entries)
 
     @property
     def effective_degree(self) -> int:
@@ -80,10 +82,10 @@ class ChernVector:
                 return i
         return 0
 
-    def entry(self, i: int) -> Fraction:
+    def entry(self, i: int) -> Scalar:
         if 0 <= i < len(self.entries):
             return self.entries[i]
-        return Fraction(0)
+        return 0
 
     def __str__(self):
         return "[%s]@dim%d" % (",".join(str(e) for e in self.entries), self.ambient_dim)
@@ -91,35 +93,7 @@ class ChernVector:
 
 def chern_from_poly(p: UniPoly, ambient_dim: int) -> ChernVector:
     """View a Chern polynomial (constant term 1) as a ChernVector."""
-    entries = tuple(Fraction(c) for c in p.coeffs) or (Fraction(1),)
-    integral = all(e.denominator == 1 for e in entries)
-    return ChernVector(entries, ambient_dim, integral=integral)
-
-
-def _det_int(mat: List[List[int]]) -> int:
-    """Fraction-free Bareiss determinant for integer matrices."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if m[i][i] == 0:
-            for r in range(i + 1, n):
-                if m[r][i] != 0:
-                    m[i], m[r] = m[r], m[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        piv = m[i][i]
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                m[r][c] = (m[r][c] * piv - m[r][i] * m[i][c]) // prev
-            m[r][i] = 0
-        prev = piv
-    return sign * m[n - 1][n - 1]
+    return ChernVector(p.coeffs or (1,), ambient_dim)
 
 
 def schur_minor(c: ChernVector, lam: Partition) -> Fraction:
@@ -132,10 +106,11 @@ def schur_minor(c: ChernVector, lam: Partition) -> Fraction:
     t = len(lam)
     if t == 0:
         return Fraction(1)
-    rows = [[c.entry(lam[i] - (i + 1) + (j + 1)) for j in range(t)] for i in range(t)]
-    if all(e.denominator == 1 for row in rows for e in row):
-        return Fraction(_det_int([[int(e) for e in row] for row in rows]))
-    return Fraction(linalg.determinant(rows))
+    mat, scale = linalg.integer_rows(
+        [[c.entry(lam[i] - (i + 1) + (j + 1)) for j in range(t)] for i in range(t)]
+    )
+    full, sign = linalg.fraction_free(mat)
+    return Fraction(sign * mat[-1][-1], scale) if full == t else Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -148,7 +123,7 @@ class NefResult:
         return self.feasible
 
 
-_NEF_CACHE: Dict[Tuple[Tuple[Fraction, ...], int], NefResult] = {}
+_NEF_CACHE: Dict[Tuple[Tuple[Scalar, ...], int], NefResult] = {}
 
 
 def _order_key(lam: Partition) -> Tuple[int, Tuple[int, ...]]:
@@ -185,8 +160,7 @@ def nef_feasible(c: ChernVector) -> NefResult:
     if hit is not None:
         return hit
     cap = c.effective_degree
-    entries = c.entries[: cap + 1]
-    e = [int(x) for x in entries] if c.integral else list(entries)
+    e = c.entries[: cap + 1]
     max_weight = c.ambient_dim if cap else 0
     witness: Optional[Partition] = None
     found = 0

@@ -19,12 +19,13 @@ rational and every positivity or nonvanishing check downstream is exact.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .dynkin import DynkinDiagram, MarkedDiagram, marked
 from .errors import InternalInconsistencyError, UnsupportedInputError
 from .exactpoly import GradedPoly, Scalar, UniPoly, coeff_plus
-from .linalg import in_row_span, row_echelon
+from .linalg import rank
 
 _CLASSICAL = ("A", "B", "C", "D")
 
@@ -51,12 +52,6 @@ class GradedPresentation:
                 raise InternalInconsistencyError(f"inhomogeneous relation {rel}")
             degrees.append(degree)
         object.__setattr__(self, "rel_degrees", tuple(degrees))
-
-    def generator_degrees(self) -> List[int]:
-        return sorted(d for _, d in self.generators)
-
-    def relation_degrees(self) -> List[int]:
-        return sorted(self.rel_degrees)
 
     def generator(self, name: str) -> GradedPoly:
         return GradedPoly.generator(self.generators, name)
@@ -477,27 +472,27 @@ def _extend_monomials(out: list, degrees: List[int], idx: int, remaining: int, p
 
 
 def _slice_rows(p: GradedPresentation, degree: int):
-    """Monomial basis of one graded slice and the relation multiples spanning
-    the ideal there, as rows of Fractions: row_echelon divides, and an int
-    quotient would be a float."""
-    basis = homogeneous_monomials(p.generators, degree)
-    index = {m: i for i, m in enumerate(basis)}
+    """Monomial basis of one graded slice, as {monomial: column}, and the
+    relation multiples spanning the ideal there, as coefficient rows.  A
+    relation times a monomial shifts every exponent of the relation by the
+    monomial's, so each row is written straight from the relation's terms."""
+    index = {m: i for i, m in enumerate(homogeneous_monomials(p.generators, degree))}
     rows = []
     for rel, d0 in zip(p.relations, p.rel_degrees):
         if d0 > degree:
             continue
-        for expo in homogeneous_monomials(p.generators, degree - d0):
-            mono = GradedPoly(p.generators, {expo: 1})
-            prod = rel * mono
-            vec = [Fraction(0)] * len(basis)
-            for e, c in prod.terms.items():
-                vec[index[e]] = Fraction(c)
+        terms = rel.terms.items()
+        for shift in homogeneous_monomials(p.generators, degree - d0):
+            vec = [0] * len(index)
+            for e, c in terms:
+                vec[index[tuple(map(add, e, shift))]] = c
             rows.append(vec)
-    return basis, rows
+    return index, rows
 
 
 def in_relation_slice(p: GradedPresentation, poly: GradedPoly) -> bool:
-    """Exact membership of a homogeneous polynomial in the relation ideal."""
+    """Exact membership of a homogeneous polynomial in the relation ideal:
+    adding it to the slice's relation rows leaves their rank unchanged."""
     if not poly.terms:
         return True
     d = poly.homogeneous_degree()
@@ -505,20 +500,17 @@ def in_relation_slice(p: GradedPresentation, poly: GradedPoly) -> bool:
         raise UnsupportedInputError("slice membership needs a homogeneous polynomial")
     if poly.gens != p.generators:
         raise UnsupportedInputError("polynomial written over the wrong generator table")
-    basis, rows = _slice_rows(p, d)
-    index = {m: i for i, m in enumerate(basis)}
-    vec = [Fraction(0)] * len(basis)
+    index, rows = _slice_rows(p, d)
+    vec = [0] * len(index)
     for e, c in poly.terms.items():
-        vec[index[e]] = Fraction(c)
-    echelon, pivots = row_echelon(rows)
-    return in_row_span(echelon, pivots, vec)
+        vec[index[e]] = c
+    return rank(rows + [vec]) == rank(rows)
 
 
 def slice_dimension(p: GradedPresentation, degree: int) -> int:
     """Dimension of the degree-d part of the quotient ring."""
-    basis, rows = _slice_rows(p, degree)
-    echelon, _ = row_echelon(rows)
-    return len(basis) - len(echelon)
+    index, rows = _slice_rows(p, degree)
+    return len(index) - rank(rows)
 
 
 def pullback_product_collapse_check(family: str, n: int, r: int) -> bool:

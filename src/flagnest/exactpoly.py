@@ -6,7 +6,7 @@ never touches floating point.  A rational polynomial coefficient is stored as
 an ``int`` where it is integral and as a ``fractions.Fraction`` otherwise,
 never as a float; almost every coefficient met in practice is an integer, and
 int arithmetic is several times cheaper than Fraction arithmetic.  Gaussian
-rationals are pairs of Fractions.
+rationals are pairs of rationals in the same normal form.
 
 Two polynomial types:
 
@@ -31,14 +31,6 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 
 Scalar = Union[int, Fraction]
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
 def _as_rational(value) -> Scalar:
@@ -67,20 +59,21 @@ def _div(a, b):
 
 @dataclass(frozen=True)
 class GaussRat:
-    """A Gaussian rational a + b*i with exact Fraction components."""
+    """A Gaussian rational a + b*i with exact rational parts, each in normal
+    form (int where integral, else Fraction)."""
 
-    re: Fraction
-    im: Fraction
+    re: Scalar
+    im: Scalar
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        object.__setattr__(self, "re", _as_rational(re))
+        object.__setattr__(self, "im", _as_rational(im))
 
     @staticmethod
     def of(value) -> "GaussRat":
         if isinstance(value, GaussRat):
             return value
-        return GaussRat(_as_fraction(value), Fraction(0))
+        return GaussRat(value)
 
     def conj(self) -> "GaussRat":
         return GaussRat(self.re, -self.im)
@@ -121,7 +114,7 @@ class GaussRat:
         if denom == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
         num = self * other.conj()
-        return GaussRat(num.re / denom, num.im / denom)
+        return GaussRat(_div(num.re, denom), _div(num.im, denom))
 
     def __rtruediv__(self, other):
         return GaussRat.of(other) / self
@@ -186,10 +179,6 @@ class UniPoly:
     @staticmethod
     def t(power: int = 1) -> "UniPoly":
         return UniPoly([0] * power + [1])
-
-    @staticmethod
-    def constant(c) -> "UniPoly":
-        return UniPoly([c])
 
     @property
     def degree(self) -> Optional[int]:

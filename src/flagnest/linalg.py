@@ -1,17 +1,20 @@
-"""Exact dense linear algebra over any exact field.
+"""Exact dense linear algebra.
 
-Field elements only need +, -, *, / and equality against 0/1 (Fraction and
-GaussRat both qualify).  Plain ints do not: ``int / int`` is a float.  The
-polynomial layer keeps coefficients as int where integral and Fraction
-otherwise, never float, so a caller that feeds polynomial coefficients in
-(the graded-slice rows of ``cohomology``) converts them to Fraction first.
-Everything works on plain lists of lists; matrices are small throughout the
-package, so no effort is spent on sparsity.
+`fraction_free` is the package's one elimination kernel for rational
+matrices: Bareiss forward elimination on int rows (Bareiss, Math. Comp. 22,
+1968), every division exact and every entry an integer minor.  `rank`,
+`determinant`, the Schur minors of `chern` and the graded slices of
+`cohomology` all run on it, fed by `integer_rows`, which clears each row's
+denominators.  `row_echelon`, `in_row_span` and `kernel_basis` stay
+Gaussian elimination over an exact field, Fraction or GaussRat but never
+int (``int / int`` is a float), for the constructions' canonical spans and
+kernels.  Matrices are small lists of lists, so sparsity is not exploited.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 
@@ -78,31 +81,66 @@ def in_row_span(echelon: Sequence[Sequence], pivots: Sequence[int], vector: Sequ
     return all(x == 0 for x in v)
 
 
+def integer_rows(rows: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
+    """Each int/Fraction row times the lcm of its denominators, and the
+    product of those multipliers."""
+    out = []
+    scale = 1
+    for row in rows:
+        m = lcm(*[x.denominator for x in row])
+        out.append([x.numerator * (m // x.denominator) for x in row])
+        scale *= m
+    return out, scale
+
+
+def fraction_free(mat: List[List[int]]) -> Tuple[int, int]:
+    """Bareiss forward elimination of an int matrix, in place.
+
+    Returns (rank, sign of the row permutation).  The k-th pivot row is left
+    holding k x k minors; for a square matrix of full rank the last pivot is
+    the determinant of the row-permuted matrix.
+    """
+    nrows = len(mat)
+    k, sign, prev = 0, 1, 1
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(k, nrows) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != k:
+            mat[k], mat[pivot] = mat[pivot], mat[k]
+            sign = -sign
+        top = mat[k]
+        piv = top[col]
+        right = range(col + 1, len(top))
+        for r in range(k + 1, nrows):
+            row = mat[r]
+            lead = row[col]
+            if lead:
+                for c in right:
+                    row[c] = (row[c] * piv - lead * top[c]) // prev
+                row[col] = 0
+            elif piv != prev:
+                for c in right:
+                    row[c] = row[c] * piv // prev
+        prev = piv
+        k += 1
+        if k == nrows:
+            break
+    return k, sign
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    """Rank of a matrix of ints and Fractions."""
+    return fraction_free(integer_rows(rows)[0])[0]
+
+
 def determinant(rows: Sequence[Sequence]):
-    """Determinant by fraction-free-ish elimination with exact division."""
-    mat = [list(r) for r in rows]
+    """Determinant of a square matrix of ints and Fractions."""
+    mat, scale = integer_rows(rows)
     n = len(mat)
     if n == 0:
         return Fraction(1)
     if any(len(r) != n for r in mat):
         raise ValueError("determinant needs a square matrix")
-    det = None
-    sign = 1
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if mat[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return mat[0][0] * 0
-        if pivot_row != col:
-            mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
-            sign = -sign
-        lead = mat[col][col]
-        for r in range(col + 1, n):
-            if mat[r][col] != 0:
-                factor = mat[r][col] / lead
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
-        det = lead if det is None else det * lead
-    return -det if sign < 0 else det
+    full, sign = fraction_free(mat)
+    return Fraction(sign * mat[-1][-1], scale) if full == n else Fraction(0)

@@ -106,7 +106,7 @@ def test_schur_minor_weight_precondition():
 
 
 def test_schur_minor_rational_entries():
-    c = ChernVector((1, Fraction(1, 2)), 3, integral=False)
+    c = ChernVector((1, Fraction(1, 2)), 3)
     assert schur_minor(c, (1, 1)) == Fraction(1, 4)
 
 
@@ -205,7 +205,7 @@ def test_nef_equals_scan_on_half_integral_vectors(cold_nef):
     for _ in range(200):
         length = rng.randint(1, 5)
         entries = (1,) + tuple(Fraction(rng.randint(-1, 8), 2) for _ in range(length))
-        c = ChernVector(entries, rng.randint(length, 12), integral=False)
+        c = ChernVector(entries, rng.randint(length, 12))
         res = cold_nef(c)
         assert res == scan_nef(c), c
         assert res.value is None or type(res.value) is Fraction
@@ -316,7 +316,7 @@ def test_nef_equals_dense_scan_on_half_integral_vectors(cold_nef):
     for _ in range(200):
         length = rng.randint(1, 6)
         entries = (1,) + tuple(Fraction(rng.randint(-2, 9), 2) for _ in range(length))
-        c = ChernVector(entries, rng.randint(length, 12), integral=False)
+        c = ChernVector(entries, rng.randint(length, 12))
         assert cold_nef(c) == dense_nef(c), c
 
 
@@ -383,7 +383,7 @@ def test_c1_consequences_branches():
 
 def test_c1_consequences_preconditions():
     with pytest.raises(UnsupportedInputError):
-        lemma_c1_consequences(ChernVector((1, Fraction(1, 2)), 4, integral=False))
+        lemma_c1_consequences(ChernVector((1, Fraction(1, 2)), 4))
     with pytest.raises(UnsupportedInputError):
         lemma_c1_consequences(ChernVector((1, 1, 0, 1), 6))
 
@@ -516,5 +516,4 @@ def test_chern_vector_validation():
         ChernVector((2, 1), 4)
     with pytest.raises(UnsupportedInputError):
         ChernVector((1, 1, 1), 1)
-    with pytest.raises(UnsupportedInputError):
-        ChernVector((1, Fraction(1, 2)), 4)
+    assert not ChernVector((1, Fraction(1, 2)), 4).integral

@@ -54,6 +54,11 @@ def test_gauss_basics():
     assert GaussRat.of(Fraction(1, 2)) == GaussRat(Fraction(1, 2), 0)
     assert GaussRat(0, 0).is_zero()
     assert not GaussRat(0, 1).is_zero()
+    # parts are in normal form: an int where integral, else a Fraction
+    q = GaussRat(2, 4) / GaussRat(1, 2)
+    assert (type(q.re), type(q.im)) == (int, int) and q == 2
+    half_i = GaussRat(1) / GaussRat(0, -2)
+    assert (half_i.re, half_i.im) == (0, Fraction(1, 2)) and type(half_i.re) is int
     with pytest.raises(ZeroDivisionError):
         GaussRat(1) / GaussRat(0)
 

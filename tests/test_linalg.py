@@ -1,11 +1,12 @@
 """Exact linear algebra: echelon form, rank, kernels, span membership, and
-determinants, cross-checked against a cofactor-expansion oracle."""
+determinants.  The fraction-free determinant is cross-checked against a
+cofactor-expansion oracle, its rank against the echelon form over Fractions."""
 
 import random
 from fractions import Fraction
 
 from flagnest.exactpoly import GaussRat
-from flagnest.linalg import determinant, in_row_span, kernel_basis, row_echelon
+from flagnest.linalg import determinant, in_row_span, kernel_basis, rank, row_echelon
 
 
 def cofactor_det(m):
@@ -24,10 +25,16 @@ def cofactor_det(m):
 
 def test_determinant_against_cofactor_oracle():
     rng = random.Random(20240814)
-    for _ in range(200):
-        n = rng.randint(1, 5)
-        m = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
-        assert determinant(m) == cofactor_det(m)
+    entries = (
+        lambda: Fraction(rng.randint(-4, 4)),
+        lambda: rng.randint(-4, 4),
+        lambda: Fraction(rng.randint(-8, 8), 2),
+    )
+    for entry in entries:
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            m = [[entry() for _ in range(n)] for _ in range(n)]
+            assert determinant(m) == cofactor_det(m), m
 
 
 def test_determinant_identity_and_swap():
@@ -46,6 +53,28 @@ def test_row_echelon_and_rank():
     ech, pivots = row_echelon(rows)
     assert pivots == [0, 1]
     assert len(ech) == 2
+
+
+def test_rank_against_echelon_form():
+    rng = random.Random(1968)
+    for _ in range(2000):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        zero_cols = set(rng.sample(range(ncols), rng.randint(0, ncols - 1)))
+        rows = []
+        for _ in range(nrows):
+            if rows and rng.random() < 0.3:
+                # a combination of earlier rows
+                a, b = rng.choice(rows), rng.choice(rows)
+                k = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                rows.append([x + k * y for x, y in zip(a, b)])
+            else:
+                rows.append([
+                    0 if c in zero_cols
+                    else rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-6, 6), rng.randint(1, 4))))
+                    for c in range(ncols)
+                ])
+        expected = len(row_echelon([[Fraction(x) for x in row] for row in rows])[0])
+        assert rank(rows) == expected, rows
 
 
 def test_in_row_span():

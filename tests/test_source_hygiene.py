@@ -1,8 +1,8 @@
 """Source hygiene of the package: no dead public definitions, no unused imports.
 
-A public module-level function or class that nothing in the package refers
-to is code no decision, CLI verb or self-check reaches; an import that its
-module never uses is dead weight.  Both checks read the source with `ast`
+A public module-level function or class, or a public method in a class body,
+that nothing in the package refers to is code no decision, CLI verb or
+self-check reaches; an import that its module never uses is dead weight.  Both checks read the source with `ast`
 only, so they import nothing from the package.
 """
 
@@ -26,17 +26,27 @@ def _referenced_names(node):
     )
 
 
+def _public_definitions(tree):
+    """(qualified name, node) of each public module-level function or class
+    and of each public method in a module-level class body."""
+    for defn in tree.body:
+        if isinstance(defn, (ast.FunctionDef, ast.ClassDef)) and not defn.name.startswith("_"):
+            yield defn.name, defn
+        if isinstance(defn, ast.ClassDef):
+            for method in defn.body:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                    yield f"{defn.name}.{method.name}", method
+
+
 def test_every_public_definition_is_referenced_in_the_package():
     modules = _modules()
     used = sum((_referenced_names(tree) for tree in modules.values()), Counter())
     unreferenced = [
-        f"{mod}.{defn.name}"
+        f"{mod}.{qualname}"
         for mod, tree in modules.items()
-        for defn in tree.body
-        if isinstance(defn, (ast.FunctionDef, ast.ClassDef))
-        and not defn.name.startswith("_")
+        for qualname, defn in _public_definitions(tree)
         # uses inside the definition's own body do not count
-        and used[defn.name] == _referenced_names(defn)[defn.name]
+        if used[defn.name] == _referenced_names(defn)[defn.name]
     ]
     assert unreferenced == []
 
