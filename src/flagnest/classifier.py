@@ -120,9 +120,12 @@ class TraceStep:
         return {"rule": self.rule, "anchor": self.anchor, "data": _jsonable(self.data)}
 
 
-# Diagrams already checked to be in normal form; a query on one of them skips
-# the check.
-_NORMALIZED_DIAGRAMS = set()
+Marks = Tuple[int, ...]
+
+
+def _query_row(d: DynkinDiagram, kept: Marks, forgotten: Marks) -> dict:
+    """The JSON row of the query on d with these sorted mark tuples."""
+    return {"diagram": str(d), "I": list(kept), "J": list(forgotten)}
 
 
 @dataclass(frozen=True)
@@ -140,13 +143,11 @@ class NestingQuery:
 
     def __post_init__(self):
         d = self.diagram
-        if d not in _NORMALIZED_DIAGRAMS:
-            norm = diagram(d.family, d.rank)
-            if norm != d:
-                raise UnsupportedInputError(
-                    f"{d} is stored as {norm}; pose the query on {norm} so the node labels are unambiguous"
-                )
-            _NORMALIZED_DIAGRAMS.add(d)
+        norm = diagram(d.family, d.rank)
+        if norm != d:
+            raise UnsupportedInputError(
+                f"{d} is stored as {norm}; pose the query on {norm} so the node labels are unambiguous"
+            )
         kept = frozenset(map(int, self.I))
         forgotten = frozenset(map(int, self.J))
         object.__setattr__(self, "I", kept)
@@ -155,11 +156,9 @@ class NestingQuery:
             raise UnsupportedInputError("both mark sets must be nonempty")
         if kept & forgotten:
             raise UnsupportedInputError("mark sets must be disjoint")
-        marks = kept | forgotten
-        if min(marks) < 1 or max(marks) > d.rank:
-            for node in marks:  # name the first offending node, as iterated
-                if not 1 <= node <= d.rank:
-                    raise UnsupportedInputError(f"node {node} outside 1..{d.rank}")
+        for node in kept | forgotten:  # name the first offending node, as iterated
+            if not 1 <= node <= d.rank:
+                raise UnsupportedInputError(f"node {node} outside 1..{d.rank}")
         key = (d.family, d.rank, tuple(sorted(kept)), tuple(sorted(forgotten)))
         object.__setattr__(self, "_key", key)
 
@@ -168,7 +167,7 @@ class NestingQuery:
         return self._key
 
     def to_json(self) -> dict:
-        return {"diagram": str(self.diagram), "I": sorted(self.I), "J": sorted(self.J)}
+        return _query_row(self.diagram, *self._key[2:])
 
 
 @dataclass(frozen=True)
@@ -176,22 +175,6 @@ class NestingDecision:
     query: NestingQuery
     result: str
     trace: Tuple[TraceStep, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "trace", tuple(self.trace))
-        if self.result not in (EXISTS, NOT_EXISTS):
-            raise InternalInconsistencyError(f"bad result {self.result!r}")
-        if not self.trace:
-            raise InternalInconsistencyError("decision without a trace")
-        last = self.trace[-1].rule
-        if self.result == EXISTS and last not in _CONSTRUCTION_RULES:
-            raise InternalInconsistencyError(
-                f"positive decision must close with a construction, got {last!r}"
-            )
-        if self.result == NOT_EXISTS and last not in _EXECUTED_RULES | _RECORDED_RULES:
-            raise InternalInconsistencyError(
-                f"negative decision must close with a computation or recorded fact, got {last!r}"
-            )
 
     @property
     def exists(self) -> bool:
@@ -583,12 +566,15 @@ def obstruct_last_node(family: str, n: int, r: int) -> ObstructionOutcome:
 # the decision cascade
 
 
-_DECISION_CACHE: Dict[tuple, NestingDecision] = {}
+Pair = Tuple[str, Tuple[TraceStep, ...]]
+
+# (result, trace) pairs keyed like NestingQuery.key()
+_DECISION_CACHE: Dict[tuple, Pair] = {}
 
 
 def _canonical_marks(
-    d: DynkinDiagram, kept: Tuple[int, ...], forgotten: Tuple[int, ...]
-) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], Optional[Tuple[int, ...]]]:
+    d: DynkinDiagram, kept: Marks, forgotten: Marks
+) -> Tuple[Tuple[Marks, Marks], Optional[Marks]]:
     """The least (kept, forgotten) pair of sorted mark tuples over the orbit of
     the diagram's symmetries, and the first symmetry reaching it; the symmetry
     is None when the given pair is already least."""
@@ -603,14 +589,31 @@ def _canonical_marks(
     return best, best_sigma
 
 
-def _canonical_form(query: NestingQuery) -> Tuple[NestingQuery, List[TraceStep]]:
-    """The query relabeled into its canonical form (the query itself when it
-    already is canonical), and the relabeling step if one was needed."""
+def classify(query: NestingQuery) -> NestingDecision:
+    """Decide whether the forgetful projection of the query admits a section.
+
+    The query is validated where it is built; the cascade decides its sorted
+    mark tuples.  Only decisions that forget exactly one mark are memoized,
+    as (result, trace) pairs, since those are the subqueries the cascade
+    reads back.  Each is stored under its canonical marks and, when a
+    symmetry relabels the query, under the marks as posed too, so a repeated
+    one-mark query is one lookup.  A query that forgets more marks is decided
+    afresh each time it is asked: enumeration decides each class once, and a
+    CLI call asks one query."""
     _, _, kept, forgotten = query.key()
-    (canon_i, canon_j), sigma = _canonical_marks(query.diagram, kept, forgotten)
+    return NestingDecision(query, *_decision(query.diagram, kept, forgotten))
+
+
+def _decision(d: DynkinDiagram, kept: Marks, forgotten: Marks) -> Pair:
+    """The (result, trace) pair of the query on d with these sorted marks."""
+    key = (d.family, d.rank, kept, forgotten)
+    pair = _DECISION_CACHE.get(key)
+    if pair is not None:
+        return pair
+    (canon_i, canon_j), sigma = _canonical_marks(d, kept, forgotten)
+    result, trace = _canonical_decision(d, canon_i, canon_j)
     if sigma is None:
-        return query, []
-    canon = NestingQuery(query.diagram, frozenset(canon_i), frozenset(canon_j))
+        return result, trace
     step = TraceStep(
         "diagram-symmetry",
         "Relabeled the marks by a symmetry of the diagram; existence of a "
@@ -621,109 +624,104 @@ def _canonical_form(query: NestingQuery) -> Tuple[NestingQuery, List[TraceStep]]
             "to": {"I": list(canon_i), "J": list(canon_j)},
         },
     )
-    return canon, [step]
+    pair = (result, (step,) + trace)
+    if len(forgotten) == 1:
+        _DECISION_CACHE[key] = pair
+    return pair
 
 
-def classify(query: NestingQuery) -> NestingDecision:
-    """Decide whether the forgetful projection of the query admits a section.
-
-    Only decisions that forget exactly one mark are memoized, since those
-    are the subqueries the cascade reads back.  Each is stored under its
-    canonical form and, when a symmetry relabels the query, under the query
-    as posed too, so a repeated one-mark query is one lookup.  A query that
-    forgets more marks is decided afresh each time it is asked: enumeration
-    decides each class once, and a CLI call asks one query."""
-    decision = _DECISION_CACHE.get(query.key())
-    if decision is not None:
-        return decision
-    canon, relabel = _canonical_form(query)
-    decision = _classify_canonical(canon)
-    if canon is query:
-        return decision
-    decision = NestingDecision(query, decision.result, tuple(relabel) + decision.trace)
-    if len(query.J) == 1:
-        _DECISION_CACHE[query.key()] = decision
-    return decision
-
-
-def _classify_canonical(canon: NestingQuery) -> NestingDecision:
-    """classify() of a query already in canonical form."""
-    decision = _DECISION_CACHE.get(canon.key())
-    if decision is None:
-        result, steps = _decide(canon)
-        decision = NestingDecision(canon, result, tuple(steps))
-        if len(canon.J) == 1:
-            _DECISION_CACHE[canon.key()] = decision
-    return decision
+def _canonical_decision(d: DynkinDiagram, kept: Marks, forgotten: Marks) -> Pair:
+    """_decision() of canonical marks.  Every decision is made here, and
+    here its trace is checked to close properly: a positive one on a
+    construction, a negative one on a computation or a recorded fact."""
+    key = (d.family, d.rank, kept, forgotten)
+    pair = _DECISION_CACHE.get(key)
+    if pair is not None:
+        return pair
+    result, steps = _decide(d, kept, forgotten)
+    if result not in (EXISTS, NOT_EXISTS):
+        raise InternalInconsistencyError(f"bad result {result!r}")
+    if not steps:
+        raise InternalInconsistencyError("decision without a trace")
+    last = steps[-1].rule
+    if result == EXISTS and last not in _CONSTRUCTION_RULES:
+        raise InternalInconsistencyError(
+            f"positive decision must close with a construction, got {last!r}"
+        )
+    if result == NOT_EXISTS and last not in _EXECUTED_RULES | _RECORDED_RULES:
+        raise InternalInconsistencyError(
+            f"negative decision must close with a computation or recorded fact, got {last!r}"
+        )
+    pair = (result, tuple(steps))
+    if len(forgotten) == 1:
+        _DECISION_CACHE[key] = pair
+    return pair
 
 
-def _classify_marks(
-    d: DynkinDiagram, kept: Tuple[int, ...], forgotten: Tuple[int, ...]
-) -> NestingDecision:
-    """classify() of the query on d with these sorted mark tuples; a query
-    decided before is looked up by its key (NestingQuery.key()) without
-    building or validating it again."""
-    decision = _DECISION_CACHE.get((d.family, d.rank, kept, forgotten))
-    if decision is None:
+def _classify_marks(d: DynkinDiagram, kept: Marks, forgotten: Marks) -> Pair:
+    """The (result, trace) pair of a cascade subquery on d.  A pair decided
+    before is one lookup; otherwise the subquery is posed to classify() as a
+    validated NestingQuery."""
+    pair = _DECISION_CACHE.get((d.family, d.rank, kept, forgotten))
+    if pair is None:
         decision = classify(NestingQuery(d, frozenset(kept), frozenset(forgotten)))
-    return decision
+        pair = (decision.result, decision.trace)
+    return pair
 
 
-def _decide(q: NestingQuery) -> Tuple[str, List[TraceStep]]:
-    d = q.diagram
+def _decide(d: DynkinDiagram, kept: Marks, forgotten: Marks) -> Tuple[str, List[TraceStep]]:
     if d.family == "G2":
         return NOT_EXISTS, [
             TraceStep("exceptional-rank-two", _G2_ANCHOR, {"diagram": str(d)})
         ]
     if d.family not in ("A", "B", "C", "D"):
         raise UnsupportedInputError(f"unsupported diagram {d}")
-    if len(q.J) > 1:
-        return _decide_many_unmarked(q)
-    if len(q.I) > 1:
-        return _decide_many_marked(q)
-    i = next(iter(q.I))
-    j = next(iter(q.J))
+    if len(forgotten) > 1:
+        return _decide_many_unmarked(d, kept, forgotten)
+    j = forgotten[0]
+    if len(kept) > 1:
+        return _decide_many_marked(d, kept, j)
+    i = kept[0]
     if len(neighbors(d, i)) > 1:
-        return _decide_interior_mark(q, i, j)
-    return _decide_extremal(q, i, j)
+        return _decide_interior_mark(d, i, j)
+    return _decide_extremal(d, i, j)
 
 
-def _decide_many_unmarked(q: NestingQuery) -> Tuple[str, List[TraceStep]]:
-    d = q.diagram
-    kept = q.key()[2]
+def _decide_many_unmarked(
+    d: DynkinDiagram, kept: Marks, forgotten: Marks
+) -> Tuple[str, List[TraceStep]]:
     steps: List[TraceStep] = []
-    for j in sorted(q.J):
-        inner = _classify_marks(d, kept, (j,))
+    for j in forgotten:
+        result, trace = _classify_marks(d, kept, (j,))
         steps.append(
             TraceStep(
                 "unmark-projection",
                 "A section through the full mark set composes with the projection "
                 "that keeps just one of the forgotten marks, so every one-mark "
                 "subquery must admit a section too.",
-                {"kept": sorted(q.I), "forgotten": j, "verdict": inner.result},
+                {"kept": list(kept), "forgotten": j, "verdict": result},
             )
         )
-        if not inner.exists:
-            steps.extend(inner.trace)
+        if result != EXISTS:
+            steps.extend(trace)
             return NOT_EXISTS, steps
     return _triality_exclusion(
-        q, steps, "simultaneous one-mark sections outside the triality orbit"
+        d, kept, forgotten, steps, "simultaneous one-mark sections outside the triality orbit"
     )
 
 
 def _triality_exclusion(
-    q: NestingQuery, steps: List[TraceStep], unexpected: str
+    d: DynkinDiagram, kept: Marks, forgotten: Marks, steps: List[TraceStep], unexpected: str
 ) -> Tuple[str, List[TraceStep]]:
     """Close a query that every restriction left open: only the triality
     orbit on D4 may get here, and a recorded fact excludes it."""
-    d = q.diagram
-    if not (d.family == "D" and d.rank == 4 and q.I | q.J == frozenset([1, 3, 4])):
+    if not (d.family == "D" and d.rank == 4 and sorted(kept + forgotten) == [1, 3, 4]):
         raise InternalInconsistencyError(unexpected)
     steps.append(
         TraceStep(
             "triality-exclusion",
             _TRIALITY_ANCHOR,
-            {"diagram": str(d), "I": sorted(q.I), "J": sorted(q.J)},
+            {"diagram": str(d), "I": list(kept), "J": list(forgotten)},
         )
     )
     return NOT_EXISTS, steps
@@ -782,20 +780,19 @@ _CURVE_TAG_ANCHOR = (
 )
 
 
-def _decide_many_marked(q: NestingQuery) -> Tuple[str, List[TraceStep]]:
-    d = q.diagram
-    j = next(iter(q.J))
+def _decide_many_marked(d: DynkinDiagram, kept: Marks, j: int) -> Tuple[str, List[TraceStep]]:
     cart = cartan_rows(d)
     steps: List[TraceStep] = []
-    home = component_containing(d, q.I, j)
-    anchors = sorted(i1 for i1 in q.I if _touches(cart, i1, home.parent_nodes))
+    home = component_containing(d, kept, j)
+    anchors = [i1 for i1 in kept if _touches(cart, i1, home.parent_nodes)]
     if not anchors:
         raise InternalInconsistencyError("some marked node must border the kept component")
     for i1 in anchors:
-        comp = component_containing(d, q.I - {i1}, j)
+        others = [i2 for i2 in kept if i2 != i1]
+        comp = component_containing(d, others, j)
         sub = comp.diagram
         own_i, own_j = comp.own_node(i1), comp.own_node(j)
-        inner = _classify_marks(sub, (own_i,), (own_j,))
+        result, trace = _classify_marks(sub, (own_i,), (own_j,))
         steps.append(
             TraceStep(
                 "fiber-restriction",
@@ -806,14 +803,14 @@ def _decide_many_marked(q: NestingQuery) -> Tuple[str, List[TraceStep]]:
                     "kept_mark": i1,
                     "subdiagram": str(sub),
                     "sub_marks": {"I": [own_i], "J": [own_j]},
-                    "verdict": inner.result,
+                    "verdict": result,
                 },
             )
         )
-        if not inner.exists:
-            steps.extend(inner.trace)
+        if result != EXISTS:
+            steps.extend(trace)
             return NOT_EXISTS, steps
-        for i2 in sorted(q.I - {i1}):
+        for i2 in others:
             if not _touches(cart, i2, comp.parent_nodes):
                 continue
             t = restriction_tag(d, comp, i2)
@@ -822,16 +819,17 @@ def _decide_many_marked(q: NestingQuery) -> Tuple[str, List[TraceStep]]:
             steps.append(TraceStep("rational-curve-tag", _CURVE_TAG_ANCHOR, data))
             if blocked:
                 return NOT_EXISTS, steps
-    return _triality_exclusion(q, steps, "tag symmetry survived outside the triality orbit")
+    return _triality_exclusion(
+        d, kept, (j,), steps, "tag symmetry survived outside the triality orbit"
+    )
 
 
-def _decide_interior_mark(q: NestingQuery, i: int, j: int) -> Tuple[str, List[TraceStep]]:
-    d = q.diagram
+def _decide_interior_mark(d: DynkinDiagram, i: int, j: int) -> Tuple[str, List[TraceStep]]:
     bar = component_containing(d, {i}, j)
     outside = frozenset(range(1, d.rank + 1)) - bar.parent_nodes
     comp = component_containing(d, outside - {i}, j)
     own_i, own_j = comp.own_node(i), comp.own_node(j)
-    inner = _classify_marks(comp.diagram, (own_i,), (own_j,))
+    result, trace = _classify_marks(comp.diagram, (own_i,), (own_j,))
     steps = [
         TraceStep(
             "fiber-restriction",
@@ -842,12 +840,12 @@ def _decide_interior_mark(q: NestingQuery, i: int, j: int) -> Tuple[str, List[Tr
                 "kept_mark": i,
                 "subdiagram": str(comp.diagram),
                 "sub_marks": {"I": [own_i], "J": [own_j]},
-                "verdict": inner.result,
+                "verdict": result,
             },
         )
     ]
-    if not inner.exists:
-        steps.extend(inner.trace)
+    if result != EXISTS:
+        steps.extend(trace)
         return NOT_EXISTS, steps
     i2 = min(nb for nb in neighbors(d, i) if nb not in bar.parent_nodes)
     t = restriction_tag(d, comp, i2)
@@ -859,26 +857,18 @@ def _decide_interior_mark(q: NestingQuery, i: int, j: int) -> Tuple[str, List[Tr
     return NOT_EXISTS, steps
 
 
-def _positive_label(q: NestingQuery) -> Optional[str]:
-    d = q.diagram
+def _positive_label(d: DynkinDiagram, i: int, j: int) -> Optional[str]:
     n = d.rank
-    if (
-        d.family == "A"
-        and n >= 3
-        and n % 2 == 1
-        and q.I == frozenset([1])
-        and q.J == frozenset([n])
-    ):
+    if d.family == "A" and n >= 3 and n % 2 == 1 and (i, j) == (1, n):
         return "symplectic point-hyperplane flag (nesting_A)"
-    if d.family == "B" and n == 3 and q.I == frozenset([1]) and q.J == frozenset([3]):
+    if d.family == "B" and n == 3 and (i, j) == (1, 3):
         return "octonion point-plane flag (nesting_B3)"
-    if d.family == "D" and q.key()[2:] == _canonical_marks(d, (n - 1,), (n,))[0]:
+    if d.family == "D" and ((i,), (j,)) == _canonical_marks(d, (n - 1,), (n,))[0]:
         return "isotropic flag completion (nesting_D)"
     return None
 
 
-def _decide_extremal(q: NestingQuery, i: int, j: int) -> Tuple[str, List[TraceStep]]:
-    d = q.diagram
+def _decide_extremal(d: DynkinDiagram, i: int, j: int) -> Tuple[str, List[TraceStep]]:
     n = d.rank
     steps: List[TraceStep] = []
     if d.family == "A" or i == 1:
@@ -902,10 +892,10 @@ def _decide_extremal(q: NestingQuery, i: int, j: int) -> Tuple[str, List[TraceSt
             )
         )
         outcome = obstruct_last_node("D", n, jj)
-    label = _positive_label(q)
+    label = _positive_label(d, i, j)
     if outcome.obstructed == (label is not None):
         raise InternalInconsistencyError(
-            f"obstruction pipeline and construction list disagree on {q.key()}"
+            f"obstruction pipeline and construction list disagree on {(d.family, n, (i,), (j,))}"
         )
     steps.extend(outcome.steps)
     if label is None:
@@ -957,13 +947,16 @@ def enumerate_nestings(max_rank: int, mode: str = "singletons") -> dict:
     mode 'singletons' takes all ordered pairs of single nodes; 'all-subsets'
     every disjoint pair of mark sets spanning at most four nodes.  Queries
     equivalent under a diagram symmetry are classified once, under their
-    canonical labels.
+    canonical labels.  Each orbit is decided straight from its canonical
+    mark tuples, on a diagram built by diagram() with marks drawn from its
+    nodes, so no NestingQuery is built for it; only a cascade subquery that
+    is not decided yet is posed to classify() as one.
 
     After each diagram the cyclic collector runs once and then every object
     alive in the process, not only this module's, is frozen (gc.freeze), so
     later collections skip it.  That is safe here: what survives a finished
-    diagram is almost all memoized decisions and module state, which live
-    until exit anyway.  Frozen objects are still freed by reference
+    diagram is almost all memoized decision pairs and module state, which
+    live until exit anyway.  Frozen objects are still freed by reference
     counting; only a frozen object that later becomes part of an unreachable
     cycle stays until exit.  Without the freeze every full collection walks
     all cached decisions again and frees nothing.
@@ -986,9 +979,8 @@ def enumerate_nestings(max_rank: int, mode: str = "singletons") -> dict:
                 continue
             seen.add(marks)
             total += 1
-            canon = NestingQuery(d, frozenset(marks[0]), frozenset(marks[1]))
-            if _classify_canonical(canon).exists:
-                exists_rows.append(canon.to_json())
+            if _canonical_decision(d, *marks)[0] == EXISTS:
+                exists_rows.append(_query_row(d, *marks))
         gc.collect()
         gc.freeze()
     exists_rows.sort(

@@ -53,9 +53,6 @@ class GradedPresentation:
             degrees.append(degree)
         object.__setattr__(self, "rel_degrees", tuple(degrees))
 
-    def generator(self, name: str) -> GradedPoly:
-        return GradedPoly.generator(self.generators, name)
-
     def to_json(self) -> dict:
         return {
             "variety": str(self.variety),
@@ -397,6 +394,9 @@ def degree_ledger(p: GradedPresentation) -> dict:
     """
     gens = list(p.generators)
     rels = list(p.relations)
+    # substituting a generator by a polynomial of its own degree keeps each
+    # relation's degree, so the degrees are carried along, not recomputed
+    degrees = list(p.rel_degrees)
     changed = True
     while changed:
         changed = False
@@ -408,22 +408,24 @@ def degree_ledger(p: GradedPresentation) -> dict:
             name = gens[gi][0]
             solo = GradedPoly.generator(rel.gens, name)
             expr = (rel - solo * coeff) * (Fraction(-1) / coeff)
-            new_rels = []
+            new_rels, new_degrees = [], []
             for rj, other in enumerate(rels):
                 if rj == ri:
                     continue
                 other = other.substitute(name, expr)
                 if other.terms:
                     new_rels.append(other)
+                    new_degrees.append(degrees[rj])
             old_table = rel.gens
             del gens[gi]
             keep = [i for i in range(len(old_table)) if i != gi]
             table = tuple(gens)
             rels = [_project(q2, old_table, table, keep) for q2 in new_rels]
+            degrees = new_degrees
             changed = True
             break
     gen_degrees = sorted(d for _, d in gens)
-    rel_degrees = sorted(r.homogeneous_degree() for r in rels)
+    rel_degrees = sorted(degrees)
     return {
         "generator_degrees": gen_degrees,
         "relation_degrees": rel_degrees,

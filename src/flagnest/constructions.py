@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .dynkin import MAX_RANK
 from .errors import InternalInconsistencyError, UnsupportedInputError
-from .exactpoly import GaussRat, UniPoly, exact_div
+from .exactpoly import GaussRat, UniPoly
 from .linalg import determinant, in_row_span, kernel_basis, row_echelon
 
 Matrix = Tuple[tuple, ...]
@@ -193,21 +193,8 @@ class Octonion:
             raise UnsupportedInputError("basis index out of range")
         return Octonion(tuple(GaussRat(1 if k == i else 0) for k in range(8)))
 
-    @staticmethod
-    def one() -> "Octonion":
-        return Octonion.unit(0)
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coords)
-
-    def __add__(self, other: "Octonion") -> "Octonion":
-        return Octonion(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Octonion") -> "Octonion":
-        return Octonion(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Octonion":
-        return Octonion(tuple(-a for a in self.coords))
 
     def __mul__(self, other):
         if not isinstance(other, Octonion):
@@ -224,12 +211,6 @@ class Octonion:
                 term = ci * cj
                 out[k] = out[k] + (term if sign == 1 else -term)
         return Octonion(tuple(out))
-
-    def __rmul__(self, other):
-        return self * other
-
-    def conj(self) -> "Octonion":
-        return Octonion((self.coords[0],) + tuple(-c for c in self.coords[1:]))
 
     def norm(self) -> GaussRat:
         total = GaussRat(0)
@@ -394,11 +375,8 @@ def nesting_D(qs: QuadraticSpace, vn, v) -> IsotropicFlag:
 class DRecursionReport:
     """Outcome of the splitting-degree scan for the isotropic-flag family."""
 
-    n: int
     chain_solutions: Tuple[Tuple[int, Tuple[int, ...]], ...]
     final_candidates: Tuple[Tuple[int, int], ...]
-    forced_chain: Tuple[int, ...]
-    restriction_coeffs: Tuple[int, ...]
 
     @property
     def empty(self) -> bool:
@@ -414,8 +392,7 @@ def nesting_D_recursion_checker(n: int) -> DRecursionReport:
     p_2 + x p_1 = ... = 2 and finally p_{n-2} x = 2; the only candidate from
     the last equation is (p_{n-2}, x) = (2, 1), while x = 1 propagates p_i =
     1 down the chain.  No assignment satisfies both, so the scan comes back
-    empty.  The report also carries the reference expansion of
-    (1+t)(1-t^n)/(1-t), the restricted total Chern class the argument splits.
+    empty.
     """
     if n < 4:
         raise UnsupportedInputError(f"need n >= 4, got {n}")
@@ -445,18 +422,7 @@ def nesting_D_recursion_checker(n: int) -> DRecursionReport:
         for p in range(0, 11)
         if p * x == 2
     )
-    forced_chain = tuple([1] * (n - 1))
-    ones = exact_div(UniPoly([1] + [0] * (n - 1) + [-1]), UniPoly([1, -1]))
-    if ones is None:
-        raise InternalInconsistencyError("geometric series division failed")
-    restriction = UniPoly([1, 1]) * ones
-    return DRecursionReport(
-        n=n,
-        chain_solutions=tuple(chain_solutions),
-        final_candidates=final_candidates,
-        forced_chain=forced_chain,
-        restriction_coeffs=tuple(restriction.coeffs),
-    )
+    return DRecursionReport(tuple(chain_solutions), final_candidates)
 
 
 # ---------------------------------------------------------------------------

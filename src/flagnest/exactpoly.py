@@ -96,9 +96,6 @@ class GaussRat:
     def __sub__(self, other):
         return self + (-GaussRat.of(other))
 
-    def __rsub__(self, other):
-        return GaussRat.of(other) + (-self)
-
     def __mul__(self, other):
         other = GaussRat.of(other)
         return GaussRat(
@@ -115,9 +112,6 @@ class GaussRat:
             raise ZeroDivisionError("division by zero Gaussian rational")
         num = self * other.conj()
         return GaussRat(_div(num.re, denom), _div(num.im, denom))
-
-    def __rtruediv__(self, other):
-        return GaussRat.of(other) / self
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -169,14 +163,6 @@ class UniPoly:
         self.coeffs = tuple(cs)
 
     @staticmethod
-    def zero() -> "UniPoly":
-        return UniPoly()
-
-    @staticmethod
-    def one() -> "UniPoly":
-        return UniPoly([1])
-
-    @staticmethod
     def t(power: int = 1) -> "UniPoly":
         return UniPoly([0] * power + [1])
 
@@ -194,9 +180,6 @@ class UniPoly:
         if k < 0 or k >= len(self.coeffs):
             return 0
         return self.coeffs[k]
-
-    def __iter__(self):
-        return iter(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, UniPoly):
@@ -221,17 +204,6 @@ class UniPoly:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, UniPoly):
-            other = UniPoly([other])
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return UniPoly([other]) + (-self)
-
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
             return UniPoly([c * other for c in self.coeffs])
@@ -249,21 +221,6 @@ class UniPoly:
                 prev = out[i + j]
                 out[i + j] = a * b if prev is None else prev + a * b
         return UniPoly([0 if c is None else c for c in out])
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        result = UniPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def substitute_neg(self) -> "UniPoly":
         """Return p(-t): flip the sign of every odd-degree coefficient."""
@@ -298,10 +255,6 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)!r})"
-
-    def to_json(self) -> list:
-        """Coefficient array, ints where integral, 'p/q' strings otherwise."""
-        return [c if isinstance(c, int) else str(c) for c in self.coeffs]
 
 
 def coeff_plus(p: UniPoly) -> dict:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 def row_echelon(rows: Sequence[Sequence]) -> Tuple[List[list], List[int]]:
@@ -49,16 +49,9 @@ def row_echelon(rows: Sequence[Sequence]) -> Tuple[List[list], List[int]]:
 
 
 def kernel_basis(
-    rows: Sequence[Sequence],
-    ncols: Optional[int] = None,
-    zero=Fraction(0),
-    one=Fraction(1),
+    rows: Sequence[Sequence], ncols: int, zero=Fraction(0), one=Fraction(1)
 ) -> List[list]:
-    """Basis of the right null space {v : M v = 0}."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols is required for an empty matrix")
-        ncols = len(rows[0])
+    """Basis of the right null space {v : M v = 0} of a matrix with ncols columns."""
     echelon, pivots = row_echelon(rows)
     free_cols = [c for c in range(ncols) if c not in pivots]
     basis = []

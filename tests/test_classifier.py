@@ -9,10 +9,9 @@ from flagnest import classifier, cohomology
 from flagnest.classifier import (
     EXISTS,
     NOT_EXISTS,
-    NestingDecision,
     NestingQuery,
     TraceStep,
-    _canonical_form,
+    _canonical_marks,
     classify,
     enumerate_nestings,
     obstruct_first_node,
@@ -107,18 +106,20 @@ def test_query_key_is_sorted_and_computed_once():
     assert hash(q) == hash(query("D", 6, [1, 3, 5], [2, 6]))
 
 
-def test_canonical_form_returns_canonical_queries_unchanged():
-    canon = query("A", 5, [1], [4])
-    assert _canonical_form(canon) == (canon, [])
-    assert _canonical_form(canon)[0] is canon
-    moved, steps = _canonical_form(query("A", 5, [5], [2]))
-    assert moved == canon
-    assert [s.rule for s in steps] == ["diagram-symmetry"]
-    assert steps[0].data == {
+def test_canonical_marks_leave_canonical_queries_unchanged():
+    d = diagram("A", 5)
+    assert _canonical_marks(d, (1,), (4,)) == (((1,), (4,)), None)
+    assert _canonical_marks(d, (5,), (2,)) == (((1,), (4,)), (5, 4, 3, 2, 1))
+    canon = classify(query("A", 5, [1], [4]))
+    assert "diagram-symmetry" not in rules(canon)
+    moved = classify(query("A", 5, [5], [2]))
+    assert rules(moved)[0] == "diagram-symmetry"
+    assert moved.trace[0].data == {
         "permutation": [5, 4, 3, 2, 1],
         "from": {"I": [5], "J": [2]},
         "to": {"I": [1], "J": [4]},
     }
+    assert moved.trace[1:] == canon.trace
 
 
 @pytest.mark.parametrize(
@@ -131,7 +132,7 @@ def test_repeated_non_canonical_query_gives_the_same_decision(fam, n, kept, forg
     first = classify(posed)
     again = classify(query(fam, n, kept, forgotten))
     if memoized:
-        assert classifier._DECISION_CACHE[posed.key()] is first
+        assert classifier._DECISION_CACHE[posed.key()][1] is first.trace
     else:
         assert posed.key() not in classifier._DECISION_CACHE
     classifier._DECISION_CACHE.clear()
@@ -140,7 +141,8 @@ def test_repeated_non_canonical_query_gives_the_same_decision(fam, n, kept, forg
     assert first.to_json() == again.to_json() == cold.to_json()
     assert rules(cold)[0] == "diagram-symmetry"
     if memoized:
-        assert classify(posed) is cold
+        assert classify(posed).trace is cold.trace
+        assert classifier._DECISION_CACHE[posed.key()][1] is cold.trace
     else:
         assert posed.key() not in classifier._DECISION_CACHE
         assert classify(posed).to_json() == cold.to_json()
@@ -326,13 +328,15 @@ def test_decision_json_shape():
     json.dumps(blob)  # everything must be serializable
 
 
-def test_decision_constructor_enforces_closers():
-    q = query("A", 3, [1], [3])
+def test_every_decision_path_enforces_closers(monkeypatch):
     step = TraceStep("fiber-restriction", "reduction only", {})
-    with pytest.raises(InternalInconsistencyError):
-        NestingDecision(q, EXISTS, (step,))
-    with pytest.raises(InternalInconsistencyError):
-        NestingDecision(q, NOT_EXISTS, (step,))
+    for result in (EXISTS, NOT_EXISTS):
+        monkeypatch.setattr(classifier, "_decide", lambda d, kept, forgotten: (result, [step]))
+        monkeypatch.setattr(classifier, "_DECISION_CACHE", {})
+        with pytest.raises(InternalInconsistencyError, match="must close"):
+            classify(query("A", 3, [1], [3]))
+        with pytest.raises(InternalInconsistencyError, match="must close"):
+            enumerate_nestings(3)
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +468,23 @@ def test_enumeration_caches_only_one_mark_decisions_and_freezes_them():
     # frozen objects sit in the permanent generation, which get_objects skips
     collected = {id(obj) for obj in gc.get_objects()}
     assert not any(id(dec) in collected for dec in cache.values())
+
+
+def test_enumeration_validates_only_the_queries_it_poses(monkeypatch):
+    # enumeration decides canonical mark tuples directly; only a cascade
+    # subquery that misses the decision cache becomes a NestingQuery
+    calls = []
+    validate = NestingQuery.__post_init__
+
+    def counting(self):
+        calls.append(1)
+        validate(self)
+
+    monkeypatch.setattr(NestingQuery, "__post_init__", counting)
+    monkeypatch.setattr(classifier, "_DECISION_CACHE", {})
+    rep = enumerate_nestings(8, "all-subsets")
+    assert rep["classified"] > 8000
+    assert 0 < len(calls) < 100
 
 
 def test_enumerate_validates_arguments():

@@ -84,12 +84,10 @@ def test_unipoly_substitute_neg():
     assert p.substitute_neg().substitute_neg() == p
 
 
-def test_unipoly_evaluate_and_json():
+def test_unipoly_evaluate():
     p = UniPoly([1, 1, 1])
     assert p.evaluate(2) == 7
     assert p.evaluate(Fraction(1, 2)) == Fraction(7, 4)
-    assert p.to_json() == [1, 1, 1]
-    assert UniPoly([Fraction(-1, 2), Fraction(4, 2)]).to_json() == ["-1/2", 2]
 
 
 def test_unipoly_str_signs():
@@ -290,9 +288,7 @@ def test_unipoly_arithmetic_matches_fraction_reference(seed):
     fb = [Fraction(c) for c in b] + [Fraction(0)] * 6
     for got, want in (
         (pa + pb, [x + y for x, y in zip(fa, fb)]),
-        (pa - pb, [x - y for x, y in zip(fa, fb)]),
         (pa * pb, _ref_umul(fa, fb)),
-        (pa**3, _ref_umul(_ref_umul(fa, fa), fa)),
         (pa.substitute_neg(), [-x if k % 2 else x for k, x in enumerate(fa)]),
     ):
         assert got == UniPoly(want)
