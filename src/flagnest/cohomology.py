@@ -322,10 +322,10 @@ def eliminate_even_generators(p: GradedPresentation) -> GradedPresentation:
     if hit is not None:
         return hit
     table = p.generators
-    q = _series(table, {i: f"Q{i}" for i in range(1, n + 1)}, n)
-    coeffs = coeff_plus(q * q.substitute_neg())
     subs: Dict[str, GradedPoly] = {}
     if family == "D":
+        if GradedPoly.generator(table, f"Q{n}") not in p.relations:
+            raise InternalInconsistencyError(f"no relation Q{n} = 0 in {p.variety}")
         subs[f"Q{n}"] = GradedPoly.zero(table)
 
     def reduce(poly: GradedPoly) -> GradedPoly:
@@ -335,8 +335,9 @@ def eliminate_even_generators(p: GradedPresentation) -> GradedPresentation:
 
     solve_top = n if family in ("B", "C") else n - 1
     survivors: List[Tuple[int, GradedPoly]] = []
-    for d in sorted(coeffs):
-        c = reduce(coeffs[d])
+    # the coefficients of Q(t)Q(-t) by degree; for D, then Q_n, which reduces to 0
+    for d, rel in zip(p.rel_degrees, p.relations):
+        c = reduce(rel)
         if d <= solve_top:
             name = f"Q{d}"
             lead = c.coefficient({name: 1})
@@ -362,13 +363,13 @@ def eliminate_even_generators(p: GradedPresentation) -> GradedPresentation:
         odd_top = n - 2
     reduced_table = tuple((f"Q{i}", i) for i in range(1, odd_top + 1, 2))
     keep = [i for i, (nm, _) in enumerate(table) if int(nm[1:]) % 2 and int(nm[1:]) <= odd_top]
-    rels = tuple(_project(c, table, reduced_table, keep) for _, c in survivors)
+    rels = tuple(_project(c, reduced_table, keep) for _, c in survivors)
     out = GradedPresentation(p.variety, reduced_table, rels)
     _ELIMINATED_CACHE[key] = out
     return out
 
 
-def _project(poly: GradedPoly, table, reduced_table, keep: Sequence[int]) -> GradedPoly:
+def _project(poly: GradedPoly, reduced_table, keep: Sequence[int]) -> GradedPoly:
     keep_set = set(keep)
     terms = {}
     for expo, c in poly.terms.items():
@@ -391,6 +392,11 @@ def degree_ledger(p: GradedPresentation) -> dict:
     class alone.  The ledger reports the surviving degrees; the quantity the
     classifier cares about is whether every relation degree exceeds every
     generator degree.
+
+    Only linear pivots are solved, so the ledger keeps relations that the
+    others generate: on D_n(n) with n even the degree-2n relation is the
+    square of the degree-n one, and `explain D6(6)` lists relations
+    [6, 8, 10, 12] where the eliminated target has [6, 8, 10].
     """
     gens = list(p.generators)
     rels = list(p.relations)
@@ -420,7 +426,7 @@ def degree_ledger(p: GradedPresentation) -> dict:
             del gens[gi]
             keep = [i for i in range(len(old_table)) if i != gi]
             table = tuple(gens)
-            rels = [_project(q2, old_table, table, keep) for q2 in new_rels]
+            rels = [_project(q2, table, keep) for q2 in new_rels]
             degrees = new_degrees
             changed = True
             break

@@ -8,29 +8,34 @@ codimension-one isotropic subspace (orthogonal complement in a quadratic
 space).  The module also houses the small integer solvers that the matching
 uniqueness arguments reduce to, so the classifier can cite them.
 
-Scalars are Fractions, except for octonions which live over the Gaussian
-rationals: the quadric x_0^2 + ... + x_7^2 = 0 has no nonzero rational
-points, and Q(i) is the smallest exact field where the needed null vectors
-exist.  Random data is always built constructively (hyperbolic combinations,
-rational rotations) from an explicit seed, never by approximating roots.
+The symplectic and the quadratic construction share one `FormSpace`: a
+nondegenerate bilinear form on Q^dim, symmetric or alternating.  Scalars are
+rationals in `exactpoly`'s normal form, an int where integral and a Fraction
+otherwise; outside input is converted to it, so a float is rejected.
+Octonions live over the Gaussian rationals: the quadric x_0^2 + ... + x_7^2 =
+0 has no nonzero rational points, and Q(i) is the smallest exact field where
+the needed null vectors exist.  Random data is always built constructively
+(hyperbolic combinations, rational rotations) from an explicit seed, never by
+approximating roots.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .dynkin import MAX_RANK
 from .errors import InternalInconsistencyError, UnsupportedInputError
-from .exactpoly import GaussRat, UniPoly
+from .exactpoly import GaussRat, UniPoly, _as_rational, _div, _normal
 from .linalg import determinant, in_row_span, kernel_basis, row_echelon
 
 Matrix = Tuple[tuple, ...]
 
 
 def _freeze(rows) -> Matrix:
-    return tuple(tuple(x for x in row) for row in rows)
+    return tuple(tuple(map(_normal, row)) for row in rows)
 
 
 def _canonical_span(rows) -> Matrix:
@@ -38,89 +43,102 @@ def _canonical_span(rows) -> Matrix:
     return _freeze(echelon)
 
 
-def _span_contains(rows, vector) -> bool:
-    echelon, pivots = row_echelon(rows)
-    return in_row_span(echelon, pivots, vector)
-
-
 def _span_subset(small, big) -> bool:
     echelon, pivots = row_echelon(big)
     return all(in_row_span(echelon, pivots, v) for v in small)
 
 
-def _mat_mul(rows, mat) -> List[list]:
-    width = len(mat[0])
-    return [
-        [sum((r[k] * mat[k][j] for k in range(len(mat))), Fraction(0)) for j in range(width)]
-        for r in rows
-    ]
+def _rational_rows(rows) -> Matrix:
+    return tuple(tuple(map(_as_rational, row)) for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# Bilinear-form spaces
+
+
+@dataclass(frozen=True)
+class FormSpace:
+    """A nondegenerate bilinear form on Q^dim with Gram matrix `gram`: a
+    symmetric form for sign 1, an alternating one for sign -1."""
+
+    dim: int
+    gram: Matrix
+    sign: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "gram", _rational_rows(self.gram))
+        if type(self.sign) is not int or self.sign not in (1, -1):
+            raise UnsupportedInputError(f"the form's sign is 1 or -1, not {self.sign!r}")
+        symmetric = self.sign == 1
+        matrix = "Gram matrix" if symmetric else "form matrix"
+        if not symmetric and (self.dim % 2 or self.dim < 2):
+            raise UnsupportedInputError(f"symplectic spaces have positive even dimension, not {self.dim}")
+        if len(self.gram) != self.dim or any(len(r) != self.dim for r in self.gram):
+            raise UnsupportedInputError(f"{matrix} does not match the dimension")
+        if list(zip(*self.gram)) != [tuple(self.sign * x for x in row) for row in self.gram]:
+            raise UnsupportedInputError(f"{matrix} is not {'' if symmetric else 'anti'}symmetric")
+        if determinant(self.gram) == 0:
+            raise UnsupportedInputError(f"{'bilinear ' if symmetric else ''}form is degenerate")
+
+    def pairing(self, u, v):
+        # the Gram matrices are sparse, and a zero entry adds nothing
+        return sum(u[i] * g * v[j] for i, r in enumerate(self.gram) for j, g in enumerate(r) if g)
+
+    def is_isotropic(self, rows) -> bool:
+        return all(
+            self.pairing(rows[i], rows[j]) == 0
+            for i in range(len(rows))
+            for j in range(i, len(rows))
+        )
+
+    def perp(self, rows) -> Matrix:
+        """{v : b(r, v) = 0 for every row r}, as a canonical basis."""
+        cols = tuple(zip(*self.gram))
+        paired = [[sum(a * g for a, g in zip(r, col) if g) for col in cols] for r in rows]
+        return _canonical_span(kernel_basis(paired, ncols=self.dim))
+
+
+def hyperbolic_space(n: int, sign: int) -> FormSpace:
+    """Sum of n hyperbolic planes: b(e_i, f_i) = 1, b(f_i, e_i) = sign and
+    everything else 0.  Sign -1 is the standard symplectic form."""
+    dim = 2 * n
+    rows = [[0] * dim for _ in range(dim)]
+    for i in range(n):
+        rows[i][n + i] = 1
+        rows[n + i][i] = sign
+    return FormSpace(dim, rows, sign)
 
 
 # ---------------------------------------------------------------------------
 # Symplectic construction
 
 
-@dataclass(frozen=True)
-class SymplecticSpace:
-    dim: int
-    omega: Matrix
-
-    def __post_init__(self):
-        object.__setattr__(self, "omega", _freeze(self.omega))
-        if self.dim % 2 or self.dim < 2:
-            raise UnsupportedInputError(f"symplectic spaces have positive even dimension, not {self.dim}")
-        if len(self.omega) != self.dim or any(len(r) != self.dim for r in self.omega):
-            raise UnsupportedInputError("form matrix does not match the dimension")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.omega[i][j] != -self.omega[j][i]:
-                    raise UnsupportedInputError("form matrix is not antisymmetric")
-        if determinant(self.omega) == 0:
-            raise UnsupportedInputError("form is degenerate")
-
-    def pairing(self, u, v) -> Fraction:
-        # the form matrices are sparse, and a zero entry adds nothing
-        return sum(
-            (u[i] * w * v[j] for i, row in enumerate(self.omega) for j, w in enumerate(row) if w),
-            Fraction(0),
-        )
-
-
-def standard_symplectic(n: int) -> SymplecticSpace:
-    """omega(e_i, f_i) = 1 on a 2n-dimensional space."""
-    dim = 2 * n
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(n):
-        rows[i][n + i] = Fraction(1)
-        rows[n + i][i] = Fraction(-1)
-    return SymplecticSpace(dim, _freeze(rows))
-
-
 def _normalize_point(point) -> tuple:
-    lead = next((c for c in point if c != 0), None)
+    coords = tuple(map(_as_rational, point))
+    lead = next((c for c in coords if c != 0), None)
     if lead is None:
         raise UnsupportedInputError("the zero vector is not a projective point")
-    return tuple(Fraction(c) / lead for c in point)
+    return tuple(_div(c, lead) for c in coords)
 
 
-def nesting_A(s: SymplecticSpace, point) -> Tuple[tuple, Matrix]:
+def nesting_A(s: FormSpace, point) -> Tuple[tuple, Matrix]:
     """A point of P(V) and the hyperplane cut out by pairing against it.
 
-    The hyperplane is ker(omega(point, .)); antisymmetry puts the point on
-    its own hyperplane, which is exactly the section property.  Output is
-    canonicalized (scaled representative, reduced kernel basis) so that
-    proportional inputs give identical results.
+    The hyperplane is the complement of the point under the alternating
+    form; alternation puts the point on its own hyperplane, which is exactly
+    the section property.  Output is canonicalized (scaled representative,
+    reduced row echelon basis) so that proportional inputs give identical
+    results.
     """
+    if s.sign != -1:
+        raise UnsupportedInputError("the point-hyperplane construction needs an alternating form")
     if len(point) != s.dim:
         raise UnsupportedInputError("point has the wrong length")
     pt = _normalize_point(point)
-    functional = [
-        sum((pt[i] * s.omega[i][j] for i in range(s.dim)), Fraction(0)) for j in range(s.dim)
-    ]
-    hyperplane = _freeze(kernel_basis([functional], ncols=s.dim))
+    hyperplane = s.perp([pt])
     if len(hyperplane) != s.dim - 1:
         raise InternalInconsistencyError("pairing functional degenerated")
-    if not _span_contains(hyperplane, pt):
+    if not _span_subset([pt], hyperplane):
         raise InternalInconsistencyError("point escaped its own hyperplane")
     return pt, hyperplane
 
@@ -213,10 +231,7 @@ class Octonion:
         return Octonion(tuple(out))
 
     def norm(self) -> GaussRat:
-        total = GaussRat(0)
-        for c in self.coords:
-            total = total + c * c
-        return total
+        return sum(c * c for c in self.coords)
 
 
 def nesting_B3(a: Octonion, x: Octonion) -> Matrix:
@@ -234,19 +249,14 @@ def nesting_B3(a: Octonion, x: Octonion) -> Matrix:
         raise UnsupportedInputError("base point must be nonzero, imaginary, and square-zero")
     columns = [x * (Octonion.unit(j) * a) for j in range(1, 8)]
     rows = [[columns[j].coords[k] for j in range(7)] for k in range(8)]
-    ker = kernel_basis(rows, ncols=7, zero=GaussRat(0), one=GaussRat(1))
-    plane = _freeze([(GaussRat(0),) + tuple(vec) for vec in ker])
+    ker = kernel_basis(rows, ncols=7)
+    plane = _freeze([(GaussRat(0),) + tuple(map(GaussRat.of, vec)) for vec in ker])
     if len(plane) != 3:
         raise InternalInconsistencyError(f"expected a plane, got dimension {len(plane)}")
-    if not _span_contains(plane, x.coords):
+    if not _span_subset([x.coords], plane):
         raise InternalInconsistencyError("plane does not pass through its base point")
-    for i, u in enumerate(plane):
-        for w in plane[i:]:
-            pairing = GaussRat(0)
-            for cu, cw in zip(u, w):
-                pairing = pairing + cu * cw
-            if not pairing.is_zero():
-                raise InternalInconsistencyError("plane is not contained in the quadric")
+    if any(sum(map(mul, u, w)) for i, u in enumerate(plane) for w in plane[i:]):
+        raise InternalInconsistencyError("plane is not contained in the quadric")
     return plane
 
 
@@ -268,53 +278,7 @@ def nesting_B3_chern_solver() -> Tuple[Tuple[int, Tuple[int, int, int]], ...]:
 
 
 # ---------------------------------------------------------------------------
-# Quadratic spaces and the isotropic-flag construction
-
-
-@dataclass(frozen=True)
-class QuadraticSpace:
-    dim: int
-    bilinear: Matrix
-
-    def __post_init__(self):
-        object.__setattr__(self, "bilinear", _freeze(self.bilinear))
-        if len(self.bilinear) != self.dim or any(len(r) != self.dim for r in self.bilinear):
-            raise UnsupportedInputError("Gram matrix does not match the dimension")
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                if self.bilinear[i][j] != self.bilinear[j][i]:
-                    raise UnsupportedInputError("Gram matrix is not symmetric")
-        if determinant(self.bilinear) == 0:
-            raise UnsupportedInputError("bilinear form is degenerate")
-
-    def inner(self, u, v) -> Fraction:
-        # the Gram matrices are sparse, and a zero entry adds nothing
-        return sum(
-            (u[i] * b * v[j] for i, row in enumerate(self.bilinear) for j, b in enumerate(row) if b),
-            Fraction(0),
-        )
-
-    def is_isotropic(self, rows) -> bool:
-        return all(
-            self.inner(rows[i], rows[j]) == 0
-            for i in range(len(rows))
-            for j in range(i, len(rows))
-        )
-
-    def perp(self, rows) -> Matrix:
-        """Orthogonal complement of the row span, as a canonical basis."""
-        paired = _mat_mul(rows, self.bilinear)
-        return _canonical_span(kernel_basis(paired, ncols=self.dim))
-
-
-def hyperbolic_space(n: int) -> QuadraticSpace:
-    """Sum of n hyperbolic planes: b(e_i, f_i) = 1, everything else 0."""
-    dim = 2 * n
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(n):
-        rows[i][n + i] = Fraction(1)
-        rows[n + i][i] = Fraction(1)
-    return QuadraticSpace(dim, _freeze(rows))
+# The isotropic-flag construction
 
 
 @dataclass(frozen=True)
@@ -334,7 +298,7 @@ class IsotropicFlag:
         return tuple(len(m) for m in self.spaces)
 
 
-def nesting_D(qs: QuadraticSpace, vn, v) -> IsotropicFlag:
+def nesting_D(qs: FormSpace, vn, v) -> IsotropicFlag:
     """Extend a maximal isotropic V_n to V_n + <v> and complete by complement.
 
     For an anisotropic v the triple (V_n + <v>)^perp < V_n < V_n + <v> is a
@@ -345,7 +309,7 @@ def nesting_D(qs: QuadraticSpace, vn, v) -> IsotropicFlag:
     n = qs.dim // 2
     if qs.dim % 2:
         raise UnsupportedInputError("the construction needs an even-dimensional space")
-    vn = _freeze(vn)
+    vn = _rational_rows(vn)
     if len(vn) != n or any(len(r) != qs.dim for r in vn):
         raise UnsupportedInputError(f"expected an n x 2n basis matrix with n = {n}")
     vn_canon = _canonical_span(vn)
@@ -353,8 +317,8 @@ def nesting_D(qs: QuadraticSpace, vn, v) -> IsotropicFlag:
         raise UnsupportedInputError("basis rows are linearly dependent")
     if not qs.is_isotropic(vn):
         raise UnsupportedInputError("the given subspace is not isotropic")
-    v = tuple(Fraction(c) for c in v)
-    if qs.inner(v, v) == 0:
+    v = tuple(map(_as_rational, v))
+    if qs.pairing(v, v) == 0:
         raise UnsupportedInputError("the extension vector must be anisotropic")
     big = _canonical_span(list(vn) + [list(v)])
     if len(big) != n + 1:
@@ -431,20 +395,20 @@ def nesting_D_recursion_checker(n: int) -> DRecursionReport:
 
 def _random_nonzero_vector(rng: random.Random, length: int) -> tuple:
     while True:
-        vec = tuple(Fraction(rng.randint(-9, 9)) for _ in range(length))
+        vec = tuple(rng.randint(-9, 9) for _ in range(length))
         if any(vec):
             return vec
 
 
-def random_invertible_octonion(rng: random.Random) -> Octonion:
-    while True:
-        x = Octonion(tuple(GaussRat(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(8)))
-        if not x.norm().is_zero():
-            return x
-
-
 def random_gauss_octonion(rng: random.Random) -> Octonion:
     return Octonion(tuple(GaussRat(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(8)))
+
+
+def random_invertible_octonion(rng: random.Random) -> Octonion:
+    while True:
+        x = random_gauss_octonion(rng)
+        if not x.norm().is_zero():
+            return x
 
 
 def random_null_octonion(rng: random.Random) -> Octonion:
@@ -455,10 +419,8 @@ def random_null_octonion(rng: random.Random) -> Octonion:
     these preserve the three real invariants (norms and cross term) that make
     the combination null.  A final rational scaling keeps things nonzero.
     """
-    re = [Fraction(0)] * 7
-    im = [Fraction(0)] * 7
-    re[0] = Fraction(1)
-    im[1] = Fraction(1)
+    re = [1, 0, 0, 0, 0, 0, 0]
+    im = [0, 1, 0, 0, 0, 0, 0]
     for _ in range(8):
         i, j = rng.sample(range(7), 2)
         m = rng.randint(1, 5)
@@ -468,7 +430,7 @@ def random_null_octonion(rng: random.Random) -> Octonion:
         sin = Fraction(2 * m * k) / denom
         for part in (re, im):
             part[i], part[j] = cos * part[i] - sin * part[j], sin * part[i] + cos * part[j]
-    scale = Fraction(rng.randint(1, 9))
+    scale = rng.randint(1, 9)
     x = Octonion((GaussRat(0),) + tuple(GaussRat(scale * a, scale * b) for a, b in zip(re, im)))
     if not (x * x).is_zero() or x.is_zero():
         raise InternalInconsistencyError("rotation construction produced a non-null vector")
@@ -477,23 +439,19 @@ def random_null_octonion(rng: random.Random) -> Octonion:
 
 def random_isotropic_basis(rng: random.Random, n: int) -> Matrix:
     """Rows [I | S] with S antisymmetric span a maximal isotropic subspace."""
-    s = [[Fraction(0)] * n for _ in range(n)]
+    s = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            val = Fraction(rng.randint(-5, 5))
+            val = rng.randint(-5, 5)
             s[i][j] = val
             s[j][i] = -val
-    rows = []
-    for i in range(n):
-        row = [Fraction(1 if k == i else 0) for k in range(n)] + list(s[i])
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(tuple([int(k == i) for k in range(n)] + s[i]) for i in range(n))
 
 
-def random_anisotropic_vector(rng: random.Random, qs: QuadraticSpace) -> tuple:
+def random_anisotropic_vector(rng: random.Random, qs: FormSpace) -> tuple:
     while True:
         v = _random_nonzero_vector(rng, qs.dim)
-        if qs.inner(v, v) != 0:
+        if qs.pairing(v, v) != 0:
             return v
 
 
@@ -510,31 +468,26 @@ def verify_section(kind: str, space, source, produced) -> bool:
             return False
         if len(hyperplane) != space.dim - 1:
             return False
-        if any(space.pairing(source, w) != 0 for w in hyperplane):
+        if any(space.pairing(pt, w) != 0 for w in hyperplane):
             return False
-        return _span_contains(hyperplane, pt)
+        return _span_subset([pt], hyperplane)
     if kind == "B3":
         a, x = space, source
         if any(not row[0].is_zero() for row in produced):
             return False
-        if len(produced) != 3 or not _span_contains(produced, x.coords):
+        if len(produced) != 3 or not _span_subset([x.coords], produced):
             return False
-        for row in produced:
-            y = Octonion(row)
-            if not (x * (y * a)).is_zero():
-                return False
-        return True
+        return all((x * (Octonion(row) * a)).is_zero() for row in produced)
     if kind == "D":
-        vn, v = source
-        flag = produced
-        if flag.dimensions() != (space.dim // 2 - 1, space.dim // 2, space.dim // 2 + 1):
+        vn, v = _rational_rows(source[0]), tuple(map(_as_rational, source[1]))
+        if produced.dimensions() != (space.dim // 2 - 1, space.dim // 2, space.dim // 2 + 1):
             return False
-        if flag.spaces[1] != _canonical_span(vn):
+        small, mid, big = produced.spaces
+        if mid != _canonical_span(vn):
             return False
-        small, mid, big = flag.spaces
         if not (_span_subset(small, mid) and _span_subset(mid, big)):
             return False
-        if not _span_contains(big, tuple(Fraction(c) for c in v)):
+        if not _span_subset([v], big):
             return False
         if not space.is_isotropic(small) or not space.is_isotropic(mid):
             return False
@@ -568,7 +521,7 @@ def section_trials(kind: str, n: int, trials: int, seed: int) -> TrialReport:
     failure = None
     for t in range(trials):
         if kind == "A":
-            space = standard_symplectic(n)
+            space = hyperbolic_space(n, -1)
             source = _random_nonzero_vector(rng, space.dim)
             produced = nesting_A(space, source)
             ok = verify_section("A", space, source, produced)
@@ -580,7 +533,7 @@ def section_trials(kind: str, n: int, trials: int, seed: int) -> TrialReport:
             ok = verify_section("B3", a, x, produced)
             witness = {"anchor": str(a.coords), "point": str(x.coords)}
         elif kind == "D":
-            space = hyperbolic_space(n)
+            space = hyperbolic_space(n, 1)
             vn = random_isotropic_basis(rng, n)
             v = random_anisotropic_vector(rng, space)
             produced = nesting_D(space, vn, v)

@@ -6,9 +6,10 @@ matrices: Bareiss forward elimination on int rows (Bareiss, Math. Comp. 22,
 `determinant`, the Schur minors of `chern` and the graded slices of
 `cohomology` all run on it, fed by `integer_rows`, which clears each row's
 denominators.  `row_echelon`, `in_row_span` and `kernel_basis` stay
-Gaussian elimination over an exact field, Fraction or GaussRat but never
-int (``int / int`` is a float), for the constructions' canonical spans and
-kernels.  Matrices are small lists of lists, so sparsity is not exploited.
+Gaussian elimination, for the constructions' canonical spans and kernels,
+over rationals in `exactpoly`'s normal form or GaussRat; they divide through
+`exactpoly._div`, so int rows stay exact instead of turning into floats.
+Matrices are small lists of lists, and only zero entries are skipped.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from typing import List, Sequence, Tuple
+
+from .exactpoly import _div
 
 
 def row_echelon(rows: Sequence[Sequence]) -> Tuple[List[list], List[int]]:
@@ -36,11 +39,11 @@ def row_echelon(rows: Sequence[Sequence]) -> Tuple[List[list], List[int]]:
             continue
         mat[row], mat[pivot_row] = mat[pivot_row], mat[row]
         lead = mat[row][col]
-        mat[row] = [x / lead for x in mat[row]]
+        mat[row] = [_div(x, lead) if x else x for x in mat[row]]
         for r in range(len(mat)):
             if r != row and mat[r][col] != 0:
                 factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
+                mat[r] = [a - factor * b if b else a for a, b in zip(mat[r], mat[row])]
         pivots.append(col)
         row += 1
         if row == len(mat):
@@ -48,16 +51,14 @@ def row_echelon(rows: Sequence[Sequence]) -> Tuple[List[list], List[int]]:
     return mat[:row], pivots
 
 
-def kernel_basis(
-    rows: Sequence[Sequence], ncols: int, zero=Fraction(0), one=Fraction(1)
-) -> List[list]:
+def kernel_basis(rows: Sequence[Sequence], ncols: int) -> List[list]:
     """Basis of the right null space {v : M v = 0} of a matrix with ncols columns."""
     echelon, pivots = row_echelon(rows)
     free_cols = [c for c in range(ncols) if c not in pivots]
     basis = []
     for free in free_cols:
-        v = [zero] * ncols
-        v[free] = one
+        v = [0] * ncols
+        v[free] = 1
         for r, p in zip(echelon, pivots):
             v[p] = -r[free]
         basis.append(v)
@@ -70,7 +71,7 @@ def in_row_span(echelon: Sequence[Sequence], pivots: Sequence[int], vector: Sequ
     for r, p in zip(echelon, pivots):
         if v[p] != 0:
             factor = v[p]
-            v = [a - factor * b for a, b in zip(v, r)]
+            v = [a - factor * b if b else a for a, b in zip(v, r)]
     return all(x == 0 for x in v)
 
 

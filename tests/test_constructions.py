@@ -1,5 +1,6 @@
 """Tests for the explicit section constructions and their solvers."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -9,10 +10,9 @@ from hypothesis import strategies as st
 
 from flagnest.constructions import (
     DRecursionReport,
+    FormSpace,
     IsotropicFlag,
     Octonion,
-    QuadraticSpace,
-    SymplecticSpace,
     hyperbolic_space,
     nesting_A,
     nesting_A_cohomology_solver,
@@ -21,32 +21,52 @@ from flagnest.constructions import (
     nesting_D,
     nesting_D_recursion_checker,
     octonion_identity_trials,
+    random_anisotropic_vector,
+    random_invertible_octonion,
     random_isotropic_basis,
     random_null_octonion,
     section_trials,
-    standard_symplectic,
     verify_section,
 )
 from flagnest.errors import UnsupportedInputError
 from flagnest.exactpoly import GaussRat
+from flagnest.linalg import row_echelon
 
 
 def test_symplectic_space_validation():
     with pytest.raises(UnsupportedInputError):
-        SymplecticSpace(3, ((0,) * 3,) * 3)
+        FormSpace(3, ((0,) * 3,) * 3, -1)
     with pytest.raises(UnsupportedInputError):
-        SymplecticSpace(2, ((0, 1), (1, 0)))
+        FormSpace(2, ((0, 1), (1, 0)), -1)
     with pytest.raises(UnsupportedInputError):
-        SymplecticSpace(2, ((0, 0), (0, 0)))
-    s = standard_symplectic(2)
+        FormSpace(2, ((0, 0), (0, 0)), -1)
+    s = hyperbolic_space(2, -1)
     e1 = (1, 0, 0, 0)
     f1 = (0, 0, 1, 0)
     assert s.pairing(e1, f1) == 1
     assert s.pairing(f1, e1) == -1
+    for sign in (0, 2, -2, 1.0, True):
+        with pytest.raises(UnsupportedInputError):
+            FormSpace(2, ((0, 1), (-1, 0)), sign)
+
+
+def test_nesting_A_needs_an_alternating_form():
+    with pytest.raises(UnsupportedInputError):
+        nesting_A(hyperbolic_space(2, 1), (1, 0, 0, 0))
+
+
+def test_nesting_A_int_and_fraction_inputs_agree():
+    s = hyperbolic_space(3, -1)
+    v = (2, 0, -1, 5, 1, 4)
+    assert nesting_A(s, v) == nesting_A(s, tuple(Fraction(c) for c in v))
+    pt, hyperplane = nesting_A(s, v)
+    assert not any(isinstance(x, float) for row in (pt,) + hyperplane for x in row)
+    with pytest.raises(TypeError):
+        nesting_A(s, (2.0, 0, -1, 5, 1, 4))
 
 
 def test_nesting_A_point_lies_on_its_hyperplane():
-    s = standard_symplectic(2)
+    s = hyperbolic_space(2, -1)
     point = (Fraction(1), Fraction(2), Fraction(0), Fraction(-3))
     pt, hyperplane = nesting_A(s, point)
     assert len(hyperplane) == 3
@@ -55,7 +75,7 @@ def test_nesting_A_point_lies_on_its_hyperplane():
 
 
 def test_nesting_A_rejects_zero_vector():
-    s = standard_symplectic(2)
+    s = hyperbolic_space(2, -1)
     with pytest.raises(UnsupportedInputError):
         nesting_A(s, (0, 0, 0, 0))
     with pytest.raises(UnsupportedInputError):
@@ -63,14 +83,14 @@ def test_nesting_A_rejects_zero_vector():
 
 
 def test_nesting_A_is_projective():
-    s = standard_symplectic(3)
+    s = hyperbolic_space(3, -1)
     v = (Fraction(2), Fraction(0), Fraction(-1), Fraction(5), Fraction(1), Fraction(4))
     doubled = tuple(2 * c for c in v)
     assert nesting_A(s, v) == nesting_A(s, doubled)
 
 
 def test_nesting_A_is_total_in_dimension_two():
-    s = standard_symplectic(1)
+    s = hyperbolic_space(1, -1)
     pt, hyperplane = nesting_A(s, (3, 7))
     assert len(hyperplane) == 1
     assert hyperplane[0][0] * pt[1] == hyperplane[0][1] * pt[0]
@@ -78,7 +98,7 @@ def test_nesting_A_is_total_in_dimension_two():
 
 @given(st.integers(min_value=1, max_value=60))
 def test_nesting_A_scaling_never_changes_output(k):
-    s = standard_symplectic(2)
+    s = hyperbolic_space(2, -1)
     v = (Fraction(1), Fraction(-2), Fraction(3), Fraction(0))
     assert nesting_A(s, tuple(k * c for c in v)) == nesting_A(s, v)
 
@@ -208,14 +228,14 @@ def test_B3_chern_solver_two_branches():
 
 def test_quadratic_space_validation():
     with pytest.raises(UnsupportedInputError):
-        QuadraticSpace(2, ((0, 1), (-1, 0)))
+        FormSpace(2, ((0, 1), (-1, 0)), 1)
     with pytest.raises(UnsupportedInputError):
-        QuadraticSpace(2, ((1, 0), (0, 0)))
-    qs = hyperbolic_space(3)
+        FormSpace(2, ((1, 0), (0, 0)), 1)
+    qs = hyperbolic_space(3, 1)
     e1 = (1, 0, 0, 0, 0, 0)
     f1 = (0, 0, 0, 1, 0, 0)
-    assert qs.inner(e1, f1) == 1
-    assert qs.inner(e1, e1) == 0
+    assert qs.pairing(e1, f1) == 1
+    assert qs.pairing(e1, e1) == 0
 
 
 def test_isotropic_flag_validation():
@@ -231,7 +251,7 @@ def test_isotropic_flag_validation():
 
 
 def test_nesting_D_hyperbolic_example():
-    qs = hyperbolic_space(4)
+    qs = hyperbolic_space(4, 1)
     vn = tuple(
         tuple(Fraction(1 if k == i else 0) for k in range(8)) for i in range(4)
     )
@@ -246,15 +266,28 @@ def test_nesting_D_hyperbolic_example():
 
 
 def test_nesting_D_is_scale_invariant():
-    qs = hyperbolic_space(4)
+    qs = hyperbolic_space(4, 1)
     vn = random_isotropic_basis(random.Random(2), 4)
     v = (Fraction(1), 0, 0, 0, Fraction(2), 0, 0, 0)
     tripled = tuple(3 * Fraction(c) for c in v)
     assert nesting_D(qs, vn, v) == nesting_D(qs, vn, tripled)
 
 
+def test_nesting_D_int_and_fraction_inputs_agree():
+    qs = hyperbolic_space(4, 1)
+    vn = random_isotropic_basis(random.Random(2), 4)
+    v = (1, 0, 3, 0, 2, 0, -1, 0)
+    as_fractions = tuple(tuple(Fraction(c) for c in row) for row in vn)
+    flag = nesting_D(qs, vn, v)
+    assert flag == nesting_D(qs, as_fractions, tuple(Fraction(c) for c in v))
+    assert not any(isinstance(x, float) for m in flag.spaces for row in m for x in row)
+    assert verify_section("D", qs, (vn, v), flag)
+    with pytest.raises(TypeError):
+        nesting_D(qs, vn, (1.0, 0, 3, 0, 2, 0, -1, 0))
+
+
 def test_nesting_D_rejects_bad_inputs():
-    qs = hyperbolic_space(4)
+    qs = hyperbolic_space(4, 1)
     vn = tuple(
         tuple(Fraction(1 if k == i else 0) for k in range(8)) for i in range(4)
     )
@@ -285,7 +318,7 @@ def test_section_trials_reject_ranks_below_the_construction():
 
 
 def test_verify_section_detects_tampering():
-    s = standard_symplectic(2)
+    s = hyperbolic_space(2, -1)
     point = (Fraction(1), Fraction(1), Fraction(0), Fraction(0))
     pt, hyperplane = nesting_A(s, point)
     wrong = ((Fraction(0), Fraction(0), Fraction(1), Fraction(0)),) + hyperplane[1:]
@@ -303,3 +336,40 @@ def test_recursion_checker_comes_back_empty():
         assert report.final_candidates == ((2, 1),)
     with pytest.raises(UnsupportedInputError):
         nesting_D_recursion_checker(3)
+
+
+def _span_text(rows):
+    """The reduced row echelon form of a span, one exact entry at a time."""
+    return ";".join(
+        ",".join(repr(x) if isinstance(x, GaussRat) else str(Fraction(x)) for x in row)
+        for row in row_echelon(rows)[0]
+    )
+
+
+def test_seeded_construction_outputs_are_pinned():
+    # spans, not bases: two bases of one span reduce to the same rows
+    lines = []
+    for n in (2, 3, 4):
+        rng = random.Random(100 + n)
+        s = hyperbolic_space(n, -1)
+        for _ in range(5):
+            point = tuple(rng.randint(-9, 9) for _ in range(2 * n))
+            if any(point):
+                pt, hyperplane = nesting_A(s, point)
+                lines.append(f"A{n} {_span_text([pt])} | {_span_text(hyperplane)}")
+    rng = random.Random(33)
+    for _ in range(5):
+        a = random_invertible_octonion(rng)
+        x = random_null_octonion(rng)
+        lines.append(f"B3 {_span_text(nesting_B3(a, x))}")
+    for n in (4, 5, 6):
+        rng = random.Random(200 + n)
+        qs = hyperbolic_space(n, 1)
+        for _ in range(5):
+            vn = random_isotropic_basis(rng, n)
+            v = random_anisotropic_vector(rng, qs)
+            flag = nesting_D(qs, vn, v)
+            lines.append(f"D{n} " + " | ".join(_span_text(m) for m in flag.spaces))
+    assert len(lines) == 35
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "455b831f5add91d1573790e79977133740e6facb7066e5b12ccf37859bac60b0"

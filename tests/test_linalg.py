@@ -53,6 +53,14 @@ def test_row_echelon_and_rank():
     ech, pivots = row_echelon(rows)
     assert pivots == [0, 1]
     assert len(ech) == 2
+    # int rows stay exact: a division that does not come out even is a Fraction
+    int_rows = [[2, 1, 4], [4, 2, 6], [0, 3, 1]]
+    ech, pivots = row_echelon(int_rows)
+    assert pivots == [0, 1, 2]
+    assert ech == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert row_echelon([[2, 1]])[0] == [[1, Fraction(1, 2)]]
+    for rows in (int_rows, [[2, 1]], [[3, 6, 1], [1, 2, 5]]):
+        assert not any(isinstance(x, float) for row in row_echelon(rows)[0] for x in row)
 
 
 def test_rank_against_echelon_form():
@@ -89,18 +97,20 @@ def test_kernel_basis_annihilates():
     for _ in range(60):
         nrows = rng.randint(1, 4)
         ncols = rng.randint(1, 5)
-        rows = [[Fraction(rng.randint(-3, 3)) for _ in range(ncols)] for _ in range(nrows)]
-        basis = kernel_basis(rows, ncols=ncols)
-        assert len(basis) == ncols - len(row_echelon(rows)[0])
-        for vec in basis:
-            assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+        ints = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+        for rows in (ints, [[Fraction(x) for x in row] for row in ints]):
+            basis = kernel_basis(rows, ncols=ncols)
+            assert len(basis) == ncols - len(row_echelon(rows)[0])
+            for vec in basis:
+                assert not any(isinstance(x, float) for x in vec)
+                assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
 
 
 def test_kernel_basis_over_gaussian_rationals():
     i = GaussRat(0, 1)
     one = GaussRat(1)
     rows = [[one, i]]
-    basis = kernel_basis(rows, ncols=2, zero=GaussRat(0), one=one)
+    basis = kernel_basis(rows, ncols=2)
     assert len(basis) == 1
     vec = basis[0]
     assert (vec[0] + i * vec[1]).is_zero()

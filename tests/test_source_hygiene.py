@@ -1,9 +1,11 @@
-"""Source hygiene of the package: no dead public definitions, no unused imports.
+"""Source hygiene of the package: no dead public definitions, no unused
+imports, no unread parameters.
 
 A public module-level function or class, or a public method in a class body,
 that nothing in the package refers to is code no decision, CLI verb or
-self-check reaches; an import that its module never uses is dead weight.  Both checks read the source with `ast`
-only, so they import nothing from the package.
+self-check reaches; an import that its module never uses, or a parameter
+that its function never reads, is dead weight.  The checks read the source
+with `ast` only, so they import nothing from the package.
 """
 
 import ast
@@ -64,3 +66,29 @@ def test_no_module_has_an_unused_import():
                     if bound not in used:
                         unused.append(f"{mod}: {alias.name}")
     assert unused == []
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for mod, tree in _modules().items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {
+                n.id
+                for stmt in body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread += [
+                f"{mod}.{getattr(fn, 'name', '<lambda>')}: {p.arg}"
+                for p in params
+                if p is not None
+                and p.arg not in ("self", "cls")
+                and not p.arg.startswith("_")
+                and p.arg not in read
+            ]
+    assert unread == []
