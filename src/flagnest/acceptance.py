@@ -27,6 +27,7 @@ from .classifier import (
 from .cohomology import (
     degree_ledger,
     eliminate_even_generators,
+    eliminated_target,
     presentation,
     pullback_identities_check,
     pullback_product_collapse_check,
@@ -410,11 +411,18 @@ def check_pullback_identities() -> CheckResult:
                     problems.append(f"split {fam}{n} r={r}")
     for fam, lo in (("B", 2), ("C", 3), ("D", 4)):
         for n in range(lo, 13):
-            p = eliminate_even_generators(presentation(marked(diagram(fam, n), {n})))
+            d = diagram(fam, n)
+            p = eliminate_even_generators(presentation(marked(d, {n})))
             led = degree_ledger(p)
             low = led["min_relation_degree"]
             if low is None or low <= led["max_generator_degree"]:
                 problems.append(f"degree gap {fam}{n}")
+            # the shared copy every last-node decision reads must match
+            target, shared = eliminated_target(d)
+            if target != p or led != {
+                k: list(v) if isinstance(v, tuple) else v for k, v in shared.items()
+            }:
+                problems.append(f"shared target {fam}{n}")
     for fam in ("B", "C"):
         for n in range(3, 7):
             for r in range(2, n):

@@ -18,9 +18,10 @@ recomputed as a direct Bareiss determinant by `schur_minor` and must agree.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import linalg
 from .errors import InternalInconsistencyError, UnsupportedInputError
@@ -123,14 +124,12 @@ class NefResult:
         return self.feasible
 
 
-_NEF_CACHE: Dict[Tuple[Tuple[Scalar, ...], int], NefResult] = {}
-
-
 def _order_key(lam: Partition) -> Tuple[int, Tuple[int, ...]]:
     """Weight ascending, then reverse lexicographic within a weight."""
     return sum(lam), tuple(-p for p in lam)
 
 
+@functools.cache
 def nef_feasible(c: ChernVector) -> NefResult:
     """Check S_lam >= 0 for every partition lam of weight <= ambient_dim.
 
@@ -155,10 +154,6 @@ def nef_feasible(c: ChernVector) -> NefResult:
     Its minor is recomputed as a direct determinant by `schur_minor`, which
     must agree with the recursion, so every refutation is self-checking.
     """
-    key = (c.entries, c.ambient_dim)
-    hit = _NEF_CACHE.get(key)
-    if hit is not None:
-        return hit
     cap = c.effective_degree
     e = c.entries[: cap + 1]
     max_weight = c.ambient_dim if cap else 0
@@ -201,17 +196,14 @@ def nef_feasible(c: ChernVector) -> NefResult:
             max_weight = sum(witness)
         prev = level
     if witness is None:
-        result = NefResult(True)
-    else:
-        direct = schur_minor(c, witness)
-        if direct != found or not direct < 0:
-            raise InternalInconsistencyError(
-                f"Schur minor of {c} at {partition_str(witness)}: recursion gave "
-                f"{found}, determinant gave {direct}"
-            )
-        result = NefResult(False, witness, direct)
-    _NEF_CACHE[key] = result
-    return result
+        return NefResult(True)
+    direct = schur_minor(c, witness)
+    if direct != found or not direct < 0:
+        raise InternalInconsistencyError(
+            f"Schur minor of {c} at {partition_str(witness)}: recursion gave "
+            f"{found}, determinant gave {direct}"
+        )
+    return NefResult(False, witness, direct)
 
 
 def schwarzenberger_s33(c: ChernVector) -> bool:
@@ -226,30 +218,22 @@ def schwarzenberger_s33(c: ChernVector) -> bool:
     return (e1 * e2 - e3) % 2 == 0
 
 
-_CYCLOTOMIC_CACHE: Dict[int, UniPoly] = {1: UniPoly([-1, 1])}
-
-
+@functools.cache
 def cyclotomic(d: int) -> UniPoly:
     """The d-th cyclotomic polynomial, by recursive exact division."""
     if d < 1:
         raise UnsupportedInputError("cyclotomic index must be positive")
-    hit = _CYCLOTOMIC_CACHE.get(d)
-    if hit is not None:
-        return hit
     num = UniPoly([-1] + [0] * (d - 1) + [1])
     for e in range(1, d):
         if d % e == 0:
             num = exact_div(num, cyclotomic(e))
             if num is None:
                 raise InternalInconsistencyError(f"cyclotomic division failed at {d}")
-    _CYCLOTOMIC_CACHE[d] = num
     return num
 
 
-_FACTOR_CACHE: Dict[Tuple[int, int], List[Tuple[UniPoly, UniPoly]]] = {}
-
-
-def factor_unit_minus_tk(k: int, ambient_dim: int) -> List[Tuple[UniPoly, UniPoly]]:
+@functools.cache
+def factor_unit_minus_tk(k: int, ambient_dim: int) -> Tuple[Tuple[UniPoly, UniPoly], ...]:
     """All pairs (P_E, P_F) with P_E(t) * P_F(-t) = 1 - t^k, both plausibly nef.
 
     1 - t^k factors over the integers as (1 - t) times the cyclotomic
@@ -263,10 +247,6 @@ def factor_unit_minus_tk(k: int, ambient_dim: int) -> List[Tuple[UniPoly, UniPol
             f"k must satisfy 2 <= k <= ambient_dim + 1, got k={k}, "
             f"ambient_dim={ambient_dim}"
         )
-    key = (k, ambient_dim)
-    hit = _FACTOR_CACHE.get(key)
-    if hit is not None:
-        return list(hit)
     factors = [UniPoly([1, -1])]
     for d in range(2, k + 1):
         if k % d == 0:
@@ -292,6 +272,4 @@ def factor_unit_minus_tk(k: int, ambient_dim: int) -> List[Tuple[UniPoly, UniPol
         if not nef_feasible(chern_from_poly(pf, ambient_dim)):
             continue
         pairs.append((pe, pf))
-    pairs.sort(key=lambda pq: (pq[0].coeffs, pq[1].coeffs))
-    _FACTOR_CACHE[key] = pairs
-    return list(pairs)
+    return tuple(sorted(pairs, key=lambda pq: (pq[0].coeffs, pq[1].coeffs)))

@@ -30,7 +30,7 @@ from .dynkin import (
     DynkinDiagram,
     Tag,
     apply_automorphism,
-    cartan_rows,
+    cartan_matrix,
     component_containing,
     coxeter_number,
     diagram,
@@ -781,7 +781,7 @@ _CURVE_TAG_ANCHOR = (
 
 
 def _decide_many_marked(d: DynkinDiagram, kept: Marks, j: int) -> Tuple[str, List[TraceStep]]:
-    cart = cartan_rows(d)
+    cart = cartan_matrix(d)
     steps: List[TraceStep] = []
     home = component_containing(d, kept, j)
     anchors = [i1 for i1 in kept if _touches(cart, i1, home.parent_nodes)]

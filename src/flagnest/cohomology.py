@@ -17,9 +17,11 @@ it.  And real coefficients are modeled by Q throughout: all relation data is
 rational and every positivity or nonvanishing check downstream is exact.
 """
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .dynkin import DynkinDiagram, MarkedDiagram, marked
@@ -206,9 +208,7 @@ def _last_presentation(v: MarkedDiagram, r: int) -> GradedPresentation:
     return GradedPresentation(v, table, tuple(rels))
 
 
-_PRESENTATION_CACHE: Dict[Tuple[str, int, frozenset], GradedPresentation] = {}
-
-
+@functools.cache
 def presentation(v: MarkedDiagram) -> GradedPresentation:
     """Generators-and-relations presentation of H*(v) over Q.
 
@@ -216,21 +216,14 @@ def presentation(v: MarkedDiagram) -> GradedPresentation:
     and {r, n} (with {1, n} read as the r = 1 case of the latter).  Anything
     else, and anything exceptional, raises UnsupportedInputError.
     """
-    key = (v.diagram.family, v.diagram.rank, v.marked)
-    hit = _PRESENTATION_CACHE.get(key)
-    if hit is not None:
-        return hit
     shape, r = _mark_shape(v)
     if shape == "point":
-        p = _point_presentation(v)
-    elif shape == "top":
-        p = _top_presentation(v)
-    elif shape == "first":
-        p = _first_presentation(v, r)
-    else:
-        p = _last_presentation(v, r)
-    _PRESENTATION_CACHE[key] = p
-    return p
+        return _point_presentation(v)
+    if shape == "top":
+        return _top_presentation(v)
+    if shape == "first":
+        return _first_presentation(v, r)
+    return _last_presentation(v, r)
 
 
 def pullback_identities_check(family: str, n: int, r: int) -> bool:
@@ -279,28 +272,21 @@ def _factor_product(table, names: Sequence[str], sign: int) -> UniPoly:
 # Even-generator elimination on the maximal isotropic Grassmannian
 
 
-_ELIMINATED_CACHE: Dict[Tuple[str, int], GradedPresentation] = {}
-_TARGET_LEDGER_CACHE: Dict[Tuple[str, int], Tuple[Tuple[str, object], ...]] = {}
-
-
-def eliminated_target(d: DynkinDiagram) -> Tuple[GradedPresentation, dict]:
+@functools.cache
+def eliminated_target(d: DynkinDiagram) -> Tuple[GradedPresentation, Mapping[str, object]]:
     """H*(D(n)) of a B/C/D diagram with its even generators eliminated, and
     that ring's degree ledger.
 
-    The ledger is computed once per (family, rank) and kept with its lists
-    frozen to tuples; every call hands out a fresh dict with fresh lists, so
-    a caller that mutates one cannot change the next.
+    Computed once per diagram and shared by every caller: the ledger is a
+    read-only mapping whose degree lists are stored as tuples, so no caller
+    can change what the next one reads.
     """
     target = eliminate_even_generators(presentation(marked(d, [d.rank])))
-    key = (d.family, d.rank)
-    frozen = _TARGET_LEDGER_CACHE.get(key)
-    if frozen is None:
-        frozen = tuple(
-            (name, tuple(v) if isinstance(v, list) else v)
-            for name, v in degree_ledger(target).items()
-        )
-        _TARGET_LEDGER_CACHE[key] = frozen
-    return target, {name: list(v) if isinstance(v, tuple) else v for name, v in frozen}
+    ledger = {
+        name: tuple(v) if isinstance(v, list) else v
+        for name, v in degree_ledger(target).items()
+    }
+    return target, MappingProxyType(ledger)
 
 
 def eliminate_even_generators(p: GradedPresentation) -> GradedPresentation:
@@ -311,16 +297,14 @@ def eliminate_even_generators(p: GradedPresentation) -> GradedPresentation:
     For type D the top generator Q_n is set to zero first.  The surviving
     relations are the higher even-degree coefficients with the substitutions
     applied; their degrees all exceed the largest remaining generator degree,
-    which is what the downstream surjectivity arguments feed on.
+    which is what the downstream surjectivity arguments feed on.  Not
+    memoized (a presentation is unhashable); `eliminated_target` keeps the
+    result per diagram.
     """
     family, n = p.variety.diagram.family, p.variety.diagram.rank
     if family not in ("B", "C", "D") or sorted(p.variety.marked) != [n]:
         raise UnsupportedInputError("even-generator elimination applies to maximal "
                                     "isotropic Grassmannians only")
-    key = (family, n)
-    hit = _ELIMINATED_CACHE.get(key)
-    if hit is not None:
-        return hit
     table = p.generators
     subs: Dict[str, GradedPoly] = {}
     if family == "D":
@@ -364,9 +348,7 @@ def eliminate_even_generators(p: GradedPresentation) -> GradedPresentation:
     reduced_table = tuple((f"Q{i}", i) for i in range(1, odd_top + 1, 2))
     keep = [i for i, (nm, _) in enumerate(table) if int(nm[1:]) % 2 and int(nm[1:]) <= odd_top]
     rels = tuple(_project(c, reduced_table, keep) for _, c in survivors)
-    out = GradedPresentation(p.variety, reduced_table, rels)
-    _ELIMINATED_CACHE[key] = out
-    return out
+    return GradedPresentation(p.variety, reduced_table, rels)
 
 
 def _project(poly: GradedPoly, reduced_table, keep: Sequence[int]) -> GradedPoly:

@@ -14,6 +14,7 @@ the two fork nodes n-1 and n attached to n-2.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Tuple
@@ -139,30 +140,16 @@ def parse_marked(text: str) -> MarkedDiagram:
 # Cartan data
 
 
-# Pure functions of a diagram are computed once per process and kept as
-# immutable values; the public functions hand out fresh lists.
-_CARTAN_CACHE: Dict[DynkinDiagram, Tuple[Tuple[int, ...], ...]] = {}
-_ROOT_CACHE: Dict[DynkinDiagram, "RootSystem"] = {}
-_AUTOMORPHISM_CACHE: Dict[DynkinDiagram, Tuple[Tuple[int, ...], ...]] = {}
-_NONTRIVIAL_AUTOMORPHISM_CACHE: Dict[DynkinDiagram, Tuple[Tuple[int, ...], ...]] = {}
-_DELETION_CACHE: Dict[tuple, Tuple["Component", ...]] = {}
-_COMPONENTS: Dict["Component", "Component"] = {}  # one shared copy of each
+# Pure functions of a diagram are memoized with functools.cache and return
+# immutable values (tuples and frozen dataclasses), so every caller shares
+# one copy and none can change it.  _COMPONENTS interns deletion components:
+# many deletions of one diagram leave equal components, and each is kept once.
+_COMPONENTS: Dict["Component", "Component"] = {}
 
 
-def cartan_matrix(d: DynkinDiagram) -> List[List[int]]:
-    """C[i][j] = 2(a_i, a_j)/(a_i, a_i), returned as 0-based nested lists."""
-    return [list(row) for row in cartan_rows(d)]
-
-
-def cartan_rows(d: DynkinDiagram) -> Tuple[Tuple[int, ...], ...]:
-    """The Cartan matrix as the shared immutable rows kept for the diagram."""
-    rows = _CARTAN_CACHE.get(d)
-    if rows is None:
-        rows = _CARTAN_CACHE[d] = tuple(map(tuple, _build_cartan(d)))
-    return rows
-
-
-def _build_cartan(d: DynkinDiagram) -> List[List[int]]:
+@functools.cache
+def cartan_matrix(d: DynkinDiagram) -> Tuple[Tuple[int, ...], ...]:
+    """C[i][j] = 2(a_i, a_j)/(a_i, a_i), as 0-based rows."""
     n = d.rank
     c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -172,25 +159,22 @@ def _build_cartan(d: DynkinDiagram) -> List[List[int]]:
 
     if d.family == "G2":
         link(1, 2, -1, -3)
-        return c
-    if d.family == "A":
+    elif d.family == "A":
         for i in range(1, n):
             link(i, i + 1)
-        return c
-    if d.family in ("B", "C"):
+    elif d.family in ("B", "C"):
         for i in range(1, n - 1):
             link(i, i + 1)
         if d.family == "B":
             link(n - 1, n, -1, -2)
         else:
             link(n - 1, n, -2, -1)
-        return c
-    # D
-    for i in range(1, n - 2):
-        link(i, i + 1)
-    link(n - 2, n - 1)
-    link(n - 2, n)
-    return c
+    else:  # D
+        for i in range(1, n - 2):
+            link(i, i + 1)
+        link(n - 2, n - 1)
+        link(n - 2, n)
+    return tuple(map(tuple, c))
 
 
 def neighbors(d: DynkinDiagram, node: int) -> List[int]:
@@ -214,21 +198,9 @@ def coxeter_number(d: DynkinDiagram) -> int:
     return max(fundamental_degrees(d))
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    diagram: DynkinDiagram
-    positive_roots: Tuple[Tuple[int, ...], ...]
-
-
-def positive_roots(d: DynkinDiagram) -> RootSystem:
+@functools.cache
+def positive_roots(d: DynkinDiagram) -> Tuple[Tuple[int, ...], ...]:
     """All positive roots as coefficient vectors over the simple roots."""
-    rs = _ROOT_CACHE.get(d)
-    if rs is None:
-        rs = _ROOT_CACHE[d] = _build_positive_roots(d)
-    return rs
-
-
-def _build_positive_roots(d: DynkinDiagram) -> RootSystem:
     n = d.rank
     roots: List[Tuple[int, ...]] = []
 
@@ -273,16 +245,15 @@ def _build_positive_roots(d: DynkinDiagram) -> RootSystem:
                 roots.append(vec(ones(i, j - 1) + twos(j, n - 2) + [(n - 1, 1), (n, 1)]))  # e_i + e_j
     else:  # G2
         roots = [(1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3)]
-    return RootSystem(d, tuple(roots))
+    return tuple(roots)
 
 
 def variety_dimension(m: MarkedDiagram) -> int:
     """dim of the marked variety: positive roots whose support meets the marks."""
     if not m.marked:
         raise UnsupportedInputError("dimension needs a nonempty mark set")
-    rs = positive_roots(m.diagram)
     count = 0
-    for root in rs.positive_roots:
+    for root in positive_roots(m.diagram):
         if any(root[i - 1] != 0 for i in m.marked):
             count += 1
     return count
@@ -292,42 +263,33 @@ def variety_dimension(m: MarkedDiagram) -> int:
 # Automorphisms
 
 
-def diagram_automorphisms(d: DynkinDiagram) -> List[Tuple[int, ...]]:
+@functools.cache
+def diagram_automorphisms(d: DynkinDiagram) -> Tuple[Tuple[int, ...], ...]:
     """Graph automorphisms as permutation tuples (image of node i at index i-1)."""
-    perms = _AUTOMORPHISM_CACHE.get(d)
-    if perms is None:
-        perms = _AUTOMORPHISM_CACHE[d] = tuple(_build_automorphisms(d))
-    return list(perms)
-
-
-def nontrivial_automorphisms(d: DynkinDiagram) -> Tuple[Tuple[int, ...], ...]:
-    """The graph automorphisms other than the identity, as a shared immutable
-    tuple in the order of diagram_automorphisms; empty for B, C and G2."""
-    perms = _NONTRIVIAL_AUTOMORPHISM_CACHE.get(d)
-    if perms is None:
-        ident = tuple(d.nodes)
-        perms = tuple(p for p in diagram_automorphisms(d) if p != ident)
-        _NONTRIVIAL_AUTOMORPHISM_CACHE[d] = perms
-    return perms
-
-
-def _build_automorphisms(d: DynkinDiagram) -> List[Tuple[int, ...]]:
     n = d.rank
     ident = tuple(range(1, n + 1))
     if d.family == "A" and n >= 2:
         flip = tuple(n + 1 - i for i in range(1, n + 1))
-        return [ident, flip]
+        return ident, flip
     if d.family == "D":
         if n == 4:
             perms = []
             for legs in _permutations3((1, 3, 4)):
                 img = {1: legs[0], 3: legs[1], 4: legs[2], 2: 2}
                 perms.append(tuple(img[i] for i in range(1, 5)))
-            return perms
+            return tuple(perms)
         swap = list(range(1, n + 1))
         swap[n - 2], swap[n - 1] = swap[n - 1], swap[n - 2]
-        return [ident, tuple(swap)]
-    return [ident]
+        return ident, tuple(swap)
+    return (ident,)
+
+
+@functools.cache
+def nontrivial_automorphisms(d: DynkinDiagram) -> Tuple[Tuple[int, ...], ...]:
+    """The graph automorphisms other than the identity, in the order of
+    diagram_automorphisms; empty for B, C and G2."""
+    ident = tuple(d.nodes)
+    return tuple(p for p in diagram_automorphisms(d) if p != ident)
 
 
 def _permutations3(items):
@@ -373,19 +335,15 @@ class Component:
         raise KeyError(parent)
 
 
-def _components(d: DynkinDiagram, removed) -> Tuple[Component, ...]:
+@functools.cache
+def _components(d: DynkinDiagram, removed: FrozenSet[int]) -> Tuple[Component, ...]:
     """Connected components of the induced subdiagram on nodes - removed."""
-    key = (d, frozenset(removed))
-    comps = _DELETION_CACHE.get(key)
-    if comps is None:
-        comps = tuple(_COMPONENTS.setdefault(c, c) for c in _split(d, key[1]))
-        _DELETION_CACHE[key] = comps
-    return comps
+    return tuple(_COMPONENTS.setdefault(c, c) for c in _split(d, removed))
 
 
 def _split(d: DynkinDiagram, removed: FrozenSet[int]) -> List[Component]:
     keep = [i for i in d.nodes if i not in removed]
-    c = cartan_rows(d)
+    c = cartan_matrix(d)
     adj: Dict[int, List[int]] = {
         i: [j for j in keep if j != i and c[i - 1][j - 1] != 0] for i in keep
     }
@@ -464,7 +422,7 @@ def _identify_component(d, nodes, adj, c) -> Component:
 
 
 def component_containing(d: DynkinDiagram, removed, node: int) -> Component:
-    for comp in _components(d, removed):
+    for comp in _components(d, frozenset(removed)):
         if node in comp.parent_nodes:
             return comp
     raise UnsupportedInputError(f"node {node} was deleted; no component contains it")

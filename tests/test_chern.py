@@ -185,9 +185,9 @@ def scan_nef(c):
 
 
 @pytest.fixture
-def cold_nef(monkeypatch):
+def cold_nef():
     """nef_feasible with an empty cache, so the recursion really runs."""
-    monkeypatch.setattr(chern, "_NEF_CACHE", {})
+    nef_feasible.cache_clear()
     return nef_feasible
 
 
@@ -423,14 +423,14 @@ def test_cyclotomic_polynomials():
 
 
 def test_factor_small_cases():
-    assert factor_unit_minus_tk(2, 1) == [(UniPoly([1, 1]), UniPoly([1, 1]))]
-    assert factor_unit_minus_tk(2, 6) == [(UniPoly([1, 1]), UniPoly([1, 1]))]
+    assert factor_unit_minus_tk(2, 1) == ((UniPoly([1, 1]), UniPoly([1, 1])),)
+    assert factor_unit_minus_tk(2, 6) == ((UniPoly([1, 1]), UniPoly([1, 1])),)
     got4 = factor_unit_minus_tk(4, 3)
-    assert got4 == [
+    assert got4 == (
         (UniPoly([1, 1]), _all_ones(3)),
         (_all_ones(3), UniPoly([1, 1])),
-    ]
-    assert factor_unit_minus_tk(4, 4) == []
+    )
+    assert factor_unit_minus_tk(4, 4) == ()
 
 
 def test_factor_k6_contains_selfpaired_vector():
@@ -438,7 +438,7 @@ def test_factor_k6_contains_selfpaired_vector():
     got5 = factor_unit_minus_tk(6, 5)
     assert (case1, case1) in got5
     assert len(got5) == 3
-    assert factor_unit_minus_tk(6, 6) == []
+    assert factor_unit_minus_tk(6, 6) == ()
 
 
 def test_factor_three_families_at_minimal_ambient():
@@ -449,7 +449,7 @@ def test_factor_three_families_at_minimal_ambient():
         if k == 6:
             expected.add((UniPoly([1, 2, 2, 1]), UniPoly([1, 2, 2, 1])))
         got = factor_unit_minus_tk(k, k - 1)
-        assert got == sorted(expected, key=lambda pq: (pq[0].coeffs, pq[1].coeffs)), k
+        assert got == tuple(sorted(expected, key=lambda pq: (pq[0].coeffs, pq[1].coeffs))), k
 
 
 def test_factor_product_identity_and_integrality():
@@ -461,10 +461,10 @@ def test_factor_product_identity_and_integrality():
                 assert Fraction(coef).denominator == 1
 
 
-def test_factor_matches_splits_built_from_scratch(monkeypatch):
+def test_factor_matches_splits_built_from_scratch():
     """The subset-product table gives the same pairs as multiplying out
     both sides of every split afresh."""
-    monkeypatch.setattr(chern, "_FACTOR_CACHE", {})
+    factor_unit_minus_tk.cache_clear()
     for k in range(2, 37):
         factors = [UniPoly([1, -1])] + [cyclotomic(d) for d in range(2, k + 1) if k % d == 0]
         for ambient in (k - 1, k + 2):
@@ -484,7 +484,7 @@ def test_factor_matches_splits_built_from_scratch(monkeypatch):
                 ):
                     expected.append(sides)
             expected.sort(key=lambda pq: (pq[0].coeffs, pq[1].coeffs))
-            assert factor_unit_minus_tk(k, ambient) == expected, (k, ambient)
+            assert factor_unit_minus_tk(k, ambient) == tuple(expected), (k, ambient)
 
 
 def test_factor_preconditions():

@@ -390,18 +390,22 @@ def test_last_flag_generator_table_matches_presentation():
         assert last_flag_generators(n, r) == flag.generators, (family, n, r)
 
 
-def test_last_node_outcomes_equal_on_cold_and_warm_caches(monkeypatch):
+def test_last_node_outcomes_equal_on_cold_and_warm_caches():
+    ledger_values = 0
     for family, n, r in _isotropic_flags(12):
-        for cache in ("_PRESENTATION_CACHE", "_ELIMINATED_CACHE", "_TARGET_LEDGER_CACHE"):
-            monkeypatch.setattr(cohomology, cache, {})
+        cohomology.presentation.cache_clear()
+        cohomology.eliminated_target.cache_clear()
         cold = obstruct_last_node(family, n, r)
         expected = copy.deepcopy(cold)
-        # a caller that mutates the ledger lists in a trace must not reach the cache
+        # the ledger degrees a trace carries are the shared tuples, which no
+        # caller can append to
         for step in cold.steps:
-            for value in step.data.values():
-                if isinstance(value, list):
-                    value.append(-1)
+            for key in ("target_generator_degrees", "target_relation_degrees"):
+                if key in step.data:
+                    assert isinstance(step.data[key], tuple), (family, n, r, key)
+                    ledger_values += 1
         assert obstruct_last_node(family, n, r) == expected, (family, n, r)
+    assert ledger_values
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from flagnest.cohomology import (
     degree_ledger,
     eliminate_even_generators,
+    eliminated_target,
     homogeneous_monomials,
     in_relation_slice,
     presentation,
@@ -218,7 +219,12 @@ def test_eliminate_generator_and_relation_degrees():
 
 
 def test_eliminate_is_memoized():
-    assert eliminate_even_generators(pres("B", 5, {5})) is eliminate_even_generators(pres("B", 5, {5}))
+    d = diagram("B", 5)
+    assert eliminated_target(d) is eliminated_target(d)
+    _, ledger = eliminated_target(d)
+    with pytest.raises(TypeError):
+        ledger["max_generator_degree"] = 0
+    assert ledger["generator_degrees"] == (1, 3, 5)
 
 
 def test_eliminate_rejects_other_shapes():

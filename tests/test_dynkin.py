@@ -13,7 +13,6 @@ from flagnest.dynkin import (
     Tag,
     apply_automorphism,
     cartan_matrix,
-    cartan_rows,
     component_containing,
     coxeter_number,
     diagram,
@@ -33,14 +32,14 @@ from flagnest.errors import UnsupportedInputError
 
 
 def test_cartan_matrix_conventions():
-    assert cartan_matrix(diagram("B", 2)) == [[2, -1], [-2, 2]]
+    assert cartan_matrix(diagram("B", 2)) == ((2, -1), (-2, 2))
     c3 = cartan_matrix(diagram("C", 3))
     assert c3[2][1] == -1
     assert c3[1][2] == -2
     g2 = cartan_matrix(diagram("G2", 2))
-    assert g2 == [[2, -1], [-3, 2]]
+    assert g2 == ((2, -1), (-3, 2))
     a3 = cartan_matrix(diagram("A", 3))
-    assert a3 == [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+    assert a3 == ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
 
 
 def test_low_rank_normalizations():
@@ -94,11 +93,11 @@ def test_coxeter_numbers():
 
 
 def test_positive_root_counts():
-    assert len(positive_roots(diagram("A", 4)).positive_roots) == 10
-    assert len(positive_roots(diagram("B", 3)).positive_roots) == 9
-    assert len(positive_roots(diagram("C", 4)).positive_roots) == 16
-    assert len(positive_roots(diagram("D", 5)).positive_roots) == 20
-    assert len(positive_roots(diagram("G2", 2)).positive_roots) == 6
+    assert len(positive_roots(diagram("A", 4))) == 10
+    assert len(positive_roots(diagram("B", 3))) == 9
+    assert len(positive_roots(diagram("C", 4))) == 16
+    assert len(positive_roots(diagram("D", 5))) == 20
+    assert len(positive_roots(diagram("G2", 2))) == 6
 
 
 def test_variety_dimensions_closed_forms():
@@ -120,9 +119,9 @@ def test_full_flag_dimension_is_root_count():
 
 
 def test_automorphism_groups():
-    assert diagram_automorphisms(diagram("B", 5)) == [(1, 2, 3, 4, 5)]
-    assert diagram_automorphisms(diagram("C", 4)) == [(1, 2, 3, 4)]
-    assert diagram_automorphisms(diagram("G2", 2)) == [(1, 2)]
+    assert diagram_automorphisms(diagram("B", 5)) == ((1, 2, 3, 4, 5),)
+    assert diagram_automorphisms(diagram("C", 4)) == ((1, 2, 3, 4),)
+    assert diagram_automorphisms(diagram("G2", 2)) == ((1, 2),)
     a4 = diagram_automorphisms(diagram("A", 4))
     assert (4, 3, 2, 1) in a4 and len(a4) == 2
     d5 = diagram_automorphisms(diagram("D", 5))
@@ -144,7 +143,7 @@ def test_automorphisms_preserve_cartan_matrix():
 
 
 def test_delete_nodes_splits_d5():
-    comps = dynkin._components(diagram("D", 5), {2})
+    comps = dynkin._components(diagram("D", 5), frozenset({2}))
     assert [c.diagram for c in comps] == [diagram("A", 1), diagram("A", 3)]
     tail = comps[1]
     assert tail.parent_nodes == frozenset({3, 4, 5})
@@ -155,7 +154,7 @@ def test_delete_nodes_splits_d5():
 
 
 def test_delete_nodes_keeps_double_edge_orientation():
-    comps = dynkin._components(diagram("C", 4), {1, 2})
+    comps = dynkin._components(diagram("C", 4), frozenset({1, 2}))
     assert len(comps) == 1
     sub = comps[0]
     assert component_containing(diagram("C", 4), {1, 2}, 3) is sub
@@ -185,30 +184,33 @@ def test_memoized_deletions_match_fresh_computation():
         for size in range(4)
         for removed in combinations(d.nodes, size)
     ]
-    # fill the memo in one order and with one argument type, read it back in
-    # the reverse order with others, and compare with the uncached split
+    # fill the memo in one order, read it back in the reverse order through
+    # component_containing with other argument types, and compare with the
+    # uncached split
     for d, removed in cases:
-        dynkin._components(d, sorted(removed))
+        dynkin._components(d, removed)
     for d, removed in reversed(cases):
         fresh = dynkin._split(d, removed)
-        assert list(dynkin._components(d, set(removed))) == fresh
-        assert list(dynkin._components(d, tuple(removed))) == fresh
+        assert list(dynkin._components(d, removed)) == fresh
         for node in d.nodes:
             if node in removed:
                 with pytest.raises(UnsupportedInputError):
-                    component_containing(d, removed, node)
+                    component_containing(d, set(removed), node)
             else:
                 (want,) = [c for c in fresh if node in c.parent_nodes]
                 assert component_containing(d, list(removed), node) == want
+                assert component_containing(d, sorted(removed), node) is (
+                    component_containing(d, tuple(removed), node)
+                )
 
 
 def test_memoized_cartan_and_automorphisms_match_fresh_computation():
     for d in _diagrams_up_to(9):
-        assert cartan_matrix(d) == dynkin._build_cartan(d)
-        assert cartan_rows(d) == tuple(map(tuple, dynkin._build_cartan(d)))
-        assert cartan_rows(d) is cartan_rows(d)
-        assert diagram_automorphisms(d) == dynkin._build_automorphisms(d)
-        others = [p for p in dynkin._build_automorphisms(d) if p != tuple(d.nodes)]
+        assert cartan_matrix(d) == cartan_matrix.__wrapped__(d)
+        assert cartan_matrix(d) is cartan_matrix(d)
+        fresh = diagram_automorphisms.__wrapped__(d)
+        assert diagram_automorphisms(d) == fresh
+        others = [p for p in fresh if p != tuple(d.nodes)]
         assert nontrivial_automorphisms(d) == tuple(others)
         if d.family in ("B", "C", "G2") or d.rank == 1:
             assert nontrivial_automorphisms(d) == ()
@@ -216,27 +218,31 @@ def test_memoized_cartan_and_automorphisms_match_fresh_computation():
 
 def test_memoized_roots_match_fresh_computation():
     for d in _diagrams_up_to(9):
-        fresh = dynkin._build_positive_roots(d)
+        fresh = positive_roots.__wrapped__(d)
         assert positive_roots(d) == fresh
         assert positive_roots(d) is positive_roots(d)
         for node in d.nodes:
-            want = sum(1 for root in fresh.positive_roots if root[node - 1] != 0)
+            want = sum(1 for root in fresh if root[node - 1] != 0)
             assert variety_dimension(marked(d, {node})) == want
 
 
-def test_returned_lists_are_fresh():
+def test_memoized_values_are_immutable():
     d = diagram("D", 5)
-    c = cartan_matrix(d)
-    c[0][0] = 99
-    c.append([0])
-    assert cartan_matrix(d) == dynkin._build_cartan(d)
-    comps = dynkin._components(d, {2})
-    with pytest.raises(AttributeError):  # the shared memo is an immutable tuple
-        comps.pop()
-    assert list(dynkin._components(d, {2})) == dynkin._split(d, frozenset({2}))
-    autos = diagram_automorphisms(d)
-    autos.clear()
-    assert diagram_automorphisms(d) == dynkin._build_automorphisms(d)
+    removed = frozenset({2})
+    for f, args in (
+        (cartan_matrix, (d,)),
+        (diagram_automorphisms, (d,)),
+        (positive_roots, (d,)),
+        (dynkin._components, (d, removed)),
+    ):
+        value = f(*args)
+        with pytest.raises(TypeError):
+            value[0] = value[0]
+        with pytest.raises(AttributeError):
+            value.append(value[0])
+        with pytest.raises(TypeError):
+            value[0][0] = 99
+        assert f(*args) == f.__wrapped__(*args)
     assert component_containing(d, {2}, 4).parent_nodes == frozenset({3, 4, 5})
 
 

@@ -1,11 +1,13 @@
 """Source hygiene of the package: no dead public definitions, no unused
-imports, no unread parameters.
+imports, no unread parameters, no hand-rolled memo tables.
 
 A public module-level function or class, or a public method in a class body,
 that nothing in the package refers to is code no decision, CLI verb or
 self-check reaches; an import that its module never uses, or a parameter
-that its function never reads, is dead weight.  The checks read the source
-with `ast` only, so they import nothing from the package.
+that its function never reads, is dead weight.  A pure function is memoized
+with `functools.cache` over an immutable value, not in a module-level dict.
+The checks read the source with `ast` only, so they import nothing from the
+package.
 """
 
 import ast
@@ -92,3 +94,25 @@ def test_every_parameter_is_read():
                 and p.arg not in read
             ]
     assert unread == []
+
+
+# Module-level mutable containers that are not pure memos: the CLI's verb
+# table, the classifier's decision cache (it stores one-mark decisions only,
+# under two keys) and dynkin's intern table for deletion components.
+MUTABLE_GLOBALS = {"cli._HANDLERS", "classifier._DECISION_CACHE", "dynkin._COMPONENTS"}
+
+
+def test_no_module_level_mutable_container_but_the_allowed_ones():
+    displays = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    found = []
+    for mod, tree in _modules().items():
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            elif isinstance(stmt, ast.AnnAssign):
+                targets = [stmt.target]
+            else:
+                continue
+            if isinstance(stmt.value, displays):
+                found += [f"{mod}.{ast.unparse(t)}" for t in targets]
+    assert sorted(set(found) - MUTABLE_GLOBALS) == []
