@@ -28,15 +28,12 @@ from .cohomology import (
 from .constructions import nesting_A_cohomology_solver
 from .dynkin import (
     DynkinDiagram,
-    Tag,
     apply_automorphism,
     cartan_matrix,
     component_containing,
     coxeter_number,
     diagram,
     diagram_automorphisms,
-    folding_from,
-    folding_tag_condition,
     marked,
     neighbors,
     nontrivial_automorphisms,
@@ -83,21 +80,17 @@ _TRIALITY_ANCHOR = (
 
 
 def _jsonable(value):
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+    if value is None or isinstance(value, (int, str)):
         return value
-    if isinstance(value, Fraction):
-        # exact coefficients print as strings, counts and degrees as numbers;
-        # a polynomial coefficient is an int when integral, so a rule that
-        # records one wraps it in Fraction to keep the string form
-        return str(value)
-    if isinstance(value, (UniPoly, GradedPoly, DynkinDiagram)):
-        return str(value)
     if isinstance(value, Mapping):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, (set, frozenset)):
         return sorted(_jsonable(v) for v in value)
+    # exact coefficients print as strings, counts and degrees as numbers;
+    # a polynomial coefficient is an int when integral, so a rule that
+    # records one wraps it in Fraction to keep the string form
     return str(value)
 
 
@@ -148,8 +141,11 @@ class NestingQuery:
             raise UnsupportedInputError(
                 f"{d} is stored as {norm}; pose the query on {norm} so the node labels are unambiguous"
             )
-        kept = frozenset(map(int, self.I))
-        forgotten = frozenset(map(int, self.J))
+        for node in (*self.I, *self.J):
+            if isinstance(node, bool) or not isinstance(node, int):
+                raise UnsupportedInputError(f"node {node!r} is not an integer")
+        kept = frozenset(self.I)
+        forgotten = frozenset(self.J)
         object.__setattr__(self, "I", kept)
         object.__setattr__(self, "J", forgotten)
         if not kept or not forgotten:
@@ -731,24 +727,40 @@ def _touches(cart, node: int, parent_nodes) -> bool:
     return any(cart[node - 1][p - 1] != 0 for p in parent_nodes)
 
 
-def _positive_pose(d: DynkinDiagram) -> Tuple[int, int]:
-    """The standard position of the positive one-mark pair on this diagram."""
-    if d.family == "A":
-        return 1, d.rank
-    if d.family == "B":
-        return 1, 3
+PositiveEntry = Tuple[Tuple[int, int], str, str, Tuple[Tuple[int, int], ...]]
+
+
+def _positive(d: DynkinDiagram) -> Optional[PositiveEntry]:
+    """The paper's positive list, one entry per diagram with a one-mark
+    section.  Each section exists because a proper subgroup still acts
+    transitively: Sp in SL, G2 in SO7 or SO(2n-1) in SO(2n), the foldings
+    A(2m-1) -> C(m), B3 -> G2 and D(n) -> B(n-1).  The entry is the standard
+    pose (kept, forgotten) of the positive mark pair, the construction that
+    builds the section, the folding and the node pairs it identifies; None
+    on a diagram without a section."""
+    n = d.rank
+    if d.family == "A" and n >= 3 and n % 2 == 1:
+        m = (n + 1) // 2
+        pairs = tuple((i, n + 1 - i) for i in range(1, m))
+        return (1, n), "symplectic point-hyperplane flag (nesting_A)", f"A{n}->C{m}", pairs
+    if d.family == "B" and n == 3:
+        return (1, 3), "octonion point-plane flag (nesting_B3)", "B3->G2", ((1, 3),)
     if d.family == "D":
-        return d.rank - 1, d.rank
-    raise InternalInconsistencyError(f"no positive pose on {d}")
+        pose = (n - 1, n)
+        return pose, "isotropic flag completion (nesting_D)", f"D{n}->B{n - 1}", (pose,)
+    return None
 
 
 def _curve_tag_blocks(
-    sub: DynkinDiagram, inner_i: int, inner_j: int, t: Tag
+    sub: DynkinDiagram, inner_i: int, inner_j: int, tag: Tuple[int, ...]
 ) -> Tuple[bool, dict]:
     """Whether a single-spike restriction tag rules out a section over the
     rational curve.  The inner pair is first moved into the standard positive
     pose so the folding symmetry is tested in the right coordinates."""
-    pose_i, pose_j = _positive_pose(sub)
+    positive = _positive(sub)
+    if positive is None:
+        raise InternalInconsistencyError(f"no positive pose on {sub}")
+    (pose_i, pose_j), _, folding, pairs = positive
     sigma = None
     for cand in diagram_automorphisms(sub):
         if apply_automorphism(cand, [inner_i]) == frozenset([pose_i]) and apply_automorphism(
@@ -760,13 +772,12 @@ def _curve_tag_blocks(
         raise InternalInconsistencyError("an existing inner section left the positive orbit")
     values = [0] * sub.rank
     for node in range(1, sub.rank + 1):
-        values[sigma[node - 1] - 1] = t.values[node - 1]
-    f = folding_from(sub)
-    ok = folding_tag_condition(f, Tag(sub, tuple(values)))
+        values[sigma[node - 1] - 1] = tag[node - 1]
+    ok = all(values[a - 1] == values[b - 1] for a, b in pairs)
     data = {
-        "tag": list(t.values),
+        "tag": list(tag),
         "posed_tag": values,
-        "folding": f.label,
+        "folding": folding,
         "constant_on_fibers": ok,
     }
     return (not ok), data
@@ -858,14 +869,15 @@ def _decide_interior_mark(d: DynkinDiagram, i: int, j: int) -> Tuple[str, List[T
 
 
 def _positive_label(d: DynkinDiagram, i: int, j: int) -> Optional[str]:
-    n = d.rank
-    if d.family == "A" and n >= 3 and n % 2 == 1 and (i, j) == (1, n):
-        return "symplectic point-hyperplane flag (nesting_A)"
-    if d.family == "B" and n == 3 and (i, j) == (1, 3):
-        return "octonion point-plane flag (nesting_B3)"
-    if d.family == "D" and ((i,), (j,)) == _canonical_marks(d, (n - 1,), (n,))[0]:
-        return "isotropic flag completion (nesting_D)"
-    return None
+    """The construction of the canonical one-mark query (i, j), or None when
+    the query is not the diagram's positive pair."""
+    positive = _positive(d)
+    if positive is None:
+        return None
+    (kept, forgotten), label, _, _ = positive
+    if _canonical_marks(d, (kept,), (forgotten,))[0] != ((i,), (j,)):
+        return None
+    return label
 
 
 def _decide_extremal(d: DynkinDiagram, i: int, j: int) -> Tuple[str, List[TraceStep]]:

@@ -3,8 +3,8 @@
 Covers families A, B, C, D plus the rank-2 exceptional diagram G2: Cartan
 matrices, fundamental degrees, positive roots, dimensions of the marked
 homogeneous varieties, diagram automorphisms, node deletion with component
-re-identification, diagram foldings, and the restriction tags of bundles
-over a rational curve.
+re-identification, and the restriction tags of bundles over a rational
+curve.
 
 Numbering follows the usual conventions: A/B/C are paths 1..n with the
 multiple edge at the far end (B: arrow toward node n, C: arrow toward node
@@ -15,6 +15,7 @@ the two fork nodes n-1 and n attached to n-2.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Tuple
@@ -274,7 +275,7 @@ def diagram_automorphisms(d: DynkinDiagram) -> Tuple[Tuple[int, ...], ...]:
     if d.family == "D":
         if n == 4:
             perms = []
-            for legs in _permutations3((1, 3, 4)):
+            for legs in itertools.permutations((1, 3, 4)):
                 img = {1: legs[0], 3: legs[1], 4: legs[2], 2: 2}
                 perms.append(tuple(img[i] for i in range(1, 5)))
             return tuple(perms)
@@ -290,13 +291,6 @@ def nontrivial_automorphisms(d: DynkinDiagram) -> Tuple[Tuple[int, ...], ...]:
     diagram_automorphisms; empty for B, C and G2."""
     ident = tuple(d.nodes)
     return tuple(p for p in diagram_automorphisms(d) if p != ident)
-
-
-def _permutations3(items):
-    a, b, c = items
-    return [
-        (a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a),
-    ]
 
 
 def apply_automorphism(sigma: Tuple[int, ...], nodes) -> FrozenSet[int]:
@@ -432,106 +426,12 @@ def component_containing(d: DynkinDiagram, removed, node: int) -> Component:
 # Tags
 
 
-@dataclass(frozen=True)
-class Tag:
-    diagram: DynkinDiagram
-    values: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.values) != self.diagram.rank:
-            raise UnsupportedInputError("tag length must equal the rank")
-        if any(v < 0 for v in self.values):
-            raise UnsupportedInputError("tag entries must be nonnegative")
-
-    def __str__(self):
-        return f"{self.diagram}[{','.join(str(v) for v in self.values)}]"
-
-
-def restriction_tag(parent: DynkinDiagram, sub: Component, external_node: int) -> Tag:
-    """Tag of the homogeneous bundle cut out on a deletion component by a
+def restriction_tag(parent: DynkinDiagram, sub: Component, external_node: int) -> Tuple[int, ...]:
+    """The tag of the homogeneous bundle cut out on a deletion component by a
     rational curve in the direction of an external node: the negated Cartan
-    pairings against that node (zero away from its neighbors)."""
+    pairings against that node (zero away from its neighbors), indexed by
+    the component's own nodes."""
     if external_node in sub.parent_nodes:
         raise UnsupportedInputError("external node must lie outside the component")
     c = cartan_matrix(parent)
-    values = []
-    for own in sub.diagram.nodes:
-        par = sub.parent_node(own)
-        values.append(-c[par - 1][external_node - 1])
-    return Tag(sub.diagram, tuple(values))
-
-
-# ---------------------------------------------------------------------------
-# Foldings
-
-
-@dataclass(frozen=True)
-class Folding:
-    label: str
-    source: DynkinDiagram
-    target: DynkinDiagram
-    node_map: Tuple[Tuple[int, int], ...]  # (source, target)
-
-    def fibers(self) -> Dict[int, FrozenSet[int]]:
-        out: Dict[int, set] = {}
-        for s, t in self.node_map:
-            out.setdefault(t, set()).add(s)
-        return {t: frozenset(v) for t, v in out.items()}
-
-
-def _fold_a_to_c(source_rank: int) -> Folding:
-    if source_rank < 3 or source_rank % 2 == 0:
-        raise UnsupportedInputError("this folding needs an odd source rank >= 3")
-    half = (source_rank + 1) // 2
-    node_map = tuple((i, min(i, source_rank + 1 - i)) for i in range(1, source_rank + 1))
-    return Folding(
-        label=f"A{source_rank}->C{half}",
-        source=DynkinDiagram("A", source_rank),
-        target=diagram("C", half),
-        node_map=node_map,
-    )
-
-
-def _fold_d_to_b(source_rank: int) -> Folding:
-    if source_rank < 4:
-        raise UnsupportedInputError("this folding needs source rank >= 4")
-    node_map = tuple(
-        (i, i if i < source_rank else source_rank - 1) for i in range(1, source_rank + 1)
-    )
-    return Folding(
-        label=f"D{source_rank}->B{source_rank - 1}",
-        source=DynkinDiagram("D", source_rank),
-        target=diagram("B", source_rank - 1),
-        node_map=node_map,
-    )
-
-
-def _fold_b3_to_g2() -> Folding:
-    return Folding(
-        label="B3->G2",
-        source=DynkinDiagram("B", 3),
-        target=DynkinDiagram("G2", 2),
-        node_map=((1, 1), (2, 2), (3, 1)),
-    )
-
-
-def folding_from(source: DynkinDiagram) -> Folding:
-    """The folding whose source is the given diagram."""
-    if source.family == "A" and source.rank >= 3 and source.rank % 2 == 1:
-        return _fold_a_to_c(source.rank)
-    if source.family == "D":
-        return _fold_d_to_b(source.rank)
-    if source.family == "B" and source.rank == 3:
-        return _fold_b3_to_g2()
-    raise UnsupportedInputError(f"no folding with source {source}")
-
-
-def folding_tag_condition(f: Folding, t: Tag) -> bool:
-    """True iff the tag is constant on every fiber of the folding."""
-    if t.diagram != f.source:
-        raise UnsupportedInputError("tag is indexed by a different diagram")
-    for fiber in f.fibers().values():
-        vals = {t.values[i - 1] for i in fiber}
-        if len(vals) > 1:
-            return False
-    return True
+    return tuple(-c[sub.parent_node(own) - 1][external_node - 1] for own in sub.diagram.nodes)

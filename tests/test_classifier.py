@@ -12,6 +12,8 @@ from flagnest.classifier import (
     NestingQuery,
     TraceStep,
     _canonical_marks,
+    _curve_tag_blocks,
+    _positive,
     classify,
     enumerate_nestings,
     obstruct_first_node,
@@ -87,8 +89,12 @@ def test_validation_holds_after_valid_queries_on_the_same_diagram():
         (DynkinDiagram("A", 4), [1, 3], [3, 4], "mark sets must be disjoint"),
         (DynkinDiagram("A", 4), [0], [2], "node 0 outside 1..4"),
         (DynkinDiagram("A", 4), [1], [2, 5], "node 5 outside 1..4"),
+        # a float mark must not be truncated onto a node: A5(1,5) has a section
+        (DynkinDiagram("A", 5), [1.7], [5], "node 1.7 is not an integer"),
+        (DynkinDiagram("A", 5), [1], ["x"], "node 'x' is not an integer"),
+        (DynkinDiagram("A", 5), [True], [5], "node True is not an integer"),
     ],
-    ids=["C2", "D3", "empty", "overlap", "node0", "node-rank-plus-one"],
+    ids=["C2", "D3", "empty", "overlap", "node0", "node-rank-plus-one", "float", "str", "bool"],
 )
 def test_query_error_messages(raw, kept, forgotten, message):
     # twice: the second query meets whatever the first left memoized
@@ -176,6 +182,63 @@ def test_spinor_flag_exists_in_both_directions():
     assert classify(query("D", 4, [1], [4])).exists
     assert classify(query("D", 4, [4], [1])).exists
     assert "nesting_D" in classify(query("D", 5, [4], [5])).trace[-1].data["construction"]
+
+
+def test_positive_foldings_inventory():
+    for source, label, target_rank in (
+        (("A", 3), "A3->C2", 2), (("D", 4), "D4->B3", 3), (("B", 3), "B3->G2", 2)
+    ):
+        d = diagram(*source)
+        (kept, forgotten), _, folding, pairs = _positive(d)
+        assert folding == label
+        # disjoint pairs of nodes of d, each folded onto one target node
+        folded = [i for pair in pairs for i in pair]
+        assert len(set(folded)) == len(folded) and set(folded) <= set(d.nodes)
+        assert d.rank - len(pairs) == target_rank
+        blocked, data = _curve_tag_blocks(d, kept, forgotten, (1,) * d.rank)
+        assert not blocked and data["folding"] == label
+
+
+def test_positive_folding_pairs():
+    assert _positive(diagram("A", 5))[2:] == ("A5->C3", ((1, 5), (2, 4)))  # node 3 alone
+    assert _positive(diagram("D", 6))[2:] == ("D6->B5", ((5, 6),))
+    assert _positive(diagram("B", 3))[2:] == ("B3->G2", ((1, 3),))
+    for fam, n in (("A", 4), ("C", 3), ("C", 4), ("B", 4)):
+        assert _positive(diagram(fam, n)) is None
+
+
+def test_curve_tag_is_checked_on_the_folded_pairs():
+    for fam, n, tag, constant in (
+        ("A", 3, (1, 0, 1), True),
+        ("A", 3, (1, 0, 2), False),
+        ("D", 4, (0, 1, 2, 2), True),
+        ("D", 4, (0, 1, 2, 1), False),
+        ("B", 3, (2, 0, 2), True),
+        ("B", 3, (0, 0, 1), False),
+    ):
+        d = diagram(fam, n)
+        (kept, forgotten), *_ = _positive(d)
+        blocked, data = _curve_tag_blocks(d, kept, forgotten, tag)
+        assert data["posed_tag"] == list(tag)  # the standard pose needs no relabeling
+        assert data["constant_on_fibers"] is constant and blocked is not constant
+
+
+def test_curve_tag_off_the_positive_list_is_an_internal_error():
+    with pytest.raises(InternalInconsistencyError, match="no positive pose on C3"):
+        _curve_tag_blocks(diagram("C", 3), 1, 3, (1, 0, 0))
+
+
+def test_positive_list_is_what_enumeration_finds():
+    rows = enumerate_nestings(12)["exists"]
+    assert len(rows) == 15
+    diagrams = [
+        diagram(fam, n) for fam, lo in (("A", 2), ("B", 2), ("C", 3), ("D", 4)) for n in range(lo, 13)
+    ]
+    listed = [d for d in diagrams if _positive(d) is not None]
+    assert [str(d) for d in listed] == [row["diagram"] for row in rows]
+    for d, row in zip(listed, rows):
+        (kept, forgotten), *_ = _positive(d)
+        assert _canonical_marks(d, (kept,), (forgotten,))[0] == (tuple(row["I"]), tuple(row["J"]))
 
 
 # ---------------------------------------------------------------------------

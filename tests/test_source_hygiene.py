@@ -1,12 +1,12 @@
-"""Source hygiene of the package: no dead public definitions, no unused
-imports, no unread parameters, no hand-rolled memo tables.
+"""Source hygiene of the package: no dead definitions, public or private, no
+unused imports, no unread parameters, no hand-rolled memo tables.
 
-A public module-level function or class, or a public method in a class body,
-that nothing in the package refers to is code no decision, CLI verb or
-self-check reaches; an import that its module never uses, or a parameter
-that its function never reads, is dead weight.  A pure function is memoized
-with `functools.cache` over an immutable value, not in a module-level dict.
-The checks read the source with `ast` only, so they import nothing from the
+A module-level function or class, or a method in a class body, that nothing
+in the package refers to is code no decision, CLI verb or self-check
+reaches; an import that its module never uses, or a parameter that its
+function never reads, is dead weight.  A pure function is memoized with
+`functools.cache` over an immutable value, not in a module-level dict.  The
+checks read the source with `ast` only, so they import nothing from the
 package.
 """
 
@@ -30,29 +30,40 @@ def _referenced_names(node):
     )
 
 
-def _public_definitions(tree):
-    """(qualified name, node) of each public module-level function or class
-    and of each public method in a module-level class body."""
+def _definitions(tree):
+    """(qualified name, node) of each module-level function or class and of
+    each method in a module-level class body.  Dunder methods are left out:
+    Python calls them without naming them."""
     for defn in tree.body:
-        if isinstance(defn, (ast.FunctionDef, ast.ClassDef)) and not defn.name.startswith("_"):
+        if isinstance(defn, (ast.FunctionDef, ast.ClassDef)):
             yield defn.name, defn
         if isinstance(defn, ast.ClassDef):
             for method in defn.body:
-                if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                if isinstance(method, ast.FunctionDef) and not (
+                    method.name.startswith("__") and method.name.endswith("__")
+                ):
                     yield f"{defn.name}.{method.name}", method
 
 
-def test_every_public_definition_is_referenced_in_the_package():
+def _unreferenced_definitions(private: bool):
     modules = _modules()
     used = sum((_referenced_names(tree) for tree in modules.values()), Counter())
-    unreferenced = [
+    return [
         f"{mod}.{qualname}"
         for mod, tree in modules.items()
-        for qualname, defn in _public_definitions(tree)
+        for qualname, defn in _definitions(tree)
+        if defn.name.startswith("_") == private
         # uses inside the definition's own body do not count
-        if used[defn.name] == _referenced_names(defn)[defn.name]
+        and used[defn.name] == _referenced_names(defn)[defn.name]
     ]
-    assert unreferenced == []
+
+
+def test_every_public_definition_is_referenced_in_the_package():
+    assert _unreferenced_definitions(private=False) == []
+
+
+def test_every_private_definition_is_referenced_in_the_package():
+    assert _unreferenced_definitions(private=True) == []
 
 
 def test_no_module_has_an_unused_import():
