@@ -474,7 +474,7 @@ def obstruct_last_node(family: str, n: int, r: int) -> ObstructionOutcome:
         return ObstructionOutcome(True, tuple(steps))
 
     if family == "D" and n % 2 == 1 and r in (2, n - 2):
-        if r == 2 and n - 2 != 2:
+        if r == 2:
             left = presentation(marked(d, [2, n]))
             right = presentation(marked(d, [n - 2, n]))
             if _relation_multiset(left, swap=True) != _relation_multiset(right, swap=False):

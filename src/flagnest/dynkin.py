@@ -1,8 +1,8 @@
 """Classical Dynkin diagrams and their combinatorics.
 
 Covers families A, B, C, D plus the rank-2 exceptional diagram G2: Cartan
-matrices, fundamental degrees, positive roots, dimensions of the marked
-homogeneous varieties, diagram automorphisms, node deletion with component
+matrices, fundamental degrees, dimensions of the marked homogeneous varieties
+from Levi root counts, diagram automorphisms, node deletion with component
 re-identification, and the restriction tags of bundles over a rational
 curve.
 
@@ -51,7 +51,8 @@ def diagram(family: str, rank: int) -> DynkinDiagram:
     """Validated, normalized diagram constructor.
 
     Low-rank coincidences collapse to a single representative: C2 -> B2 and
-    D3 -> A3.  D2 (disconnected) is rejected.
+    D3 -> A3, with other node labels, so text input (parse_diagram) rejects
+    C2 and D3.  D2 (disconnected) is rejected.
     """
     family = family.upper()
     if family == "G" or family == "G2":
@@ -99,7 +100,12 @@ def parse_diagram(text: str) -> DynkinDiagram:
         return diagram("G2", 2)
     if rank is None:
         raise UnsupportedInputError(f"missing rank in {text!r}")
-    return diagram(fam, int(rank))
+    d = diagram(fam, int(rank))
+    if d.family != fam:
+        raise UnsupportedInputError(
+            f"{fam}{int(rank)} is stored as {d}; write {d} so the node labels are unambiguous"
+        )
+    return d
 
 
 @dataclass(frozen=True)
@@ -199,65 +205,26 @@ def coxeter_number(d: DynkinDiagram) -> int:
     return max(fundamental_degrees(d))
 
 
-@functools.cache
-def positive_roots(d: DynkinDiagram) -> Tuple[Tuple[int, ...], ...]:
-    """All positive roots as coefficient vectors over the simple roots."""
+def _root_count(d: DynkinDiagram) -> int:
+    """The number of positive roots (Bourbaki, Lie Groups, ch. VI, Plates I-IV
+    and IX): n(n+1)/2 for A, n^2 for B and C, n(n-1) for D and 6 for G2."""
     n = d.rank
-    roots: List[Tuple[int, ...]] = []
-
-    def vec(pairs) -> Tuple[int, ...]:
-        v = [0] * n
-        for idx, val in pairs:
-            v[idx - 1] += val
-        return tuple(v)
-
-    def ones(lo, hi):  # alpha_lo + ... + alpha_hi
-        return [(k, 1) for k in range(lo, hi + 1)]
-
-    def twos(lo, hi):
-        return [(k, 2) for k in range(lo, hi + 1)]
-
     if d.family == "A":
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                roots.append(vec(ones(i, j)))
-    elif d.family == "B":
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                roots.append(vec(ones(i, j - 1)))          # e_i - e_j
-            roots.append(vec(ones(i, n)))                   # e_i
-            for j in range(i + 1, n + 1):
-                roots.append(vec(ones(i, j - 1) + twos(j, n)))  # e_i + e_j
-    elif d.family == "C":
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                roots.append(vec(ones(i, j - 1)))          # e_i - e_j
-            for j in range(i + 1, n + 1):
-                roots.append(vec(ones(i, j - 1) + twos(j, n - 1) + [(n, 1)]))  # e_i + e_j
-            roots.append(vec(twos(i, n - 1) + [(n, 1)]))    # 2 e_i
-    elif d.family == "D":
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                roots.append(vec(ones(i, j - 1)))          # e_i - e_j
-        for i in range(1, n):
-            roots.append(vec(ones(i, n - 2) + [(n, 1)]))    # e_i + e_n
-        for i in range(1, n):
-            for j in range(i + 1, n):
-                roots.append(vec(ones(i, j - 1) + twos(j, n - 2) + [(n - 1, 1), (n, 1)]))  # e_i + e_j
-    else:  # G2
-        roots = [(1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3)]
-    return tuple(roots)
+        return n * (n + 1) // 2
+    if d.family == "D":
+        return n * (n - 1)
+    if d.family == "G2":
+        return 6
+    return n * n
 
 
 def variety_dimension(m: MarkedDiagram) -> int:
-    """dim of the marked variety: positive roots whose support meets the marks."""
+    """dim G/P: the positive roots of G less those of the Levi factor, whose
+    diagram is what deleting the marks leaves."""
     if not m.marked:
         raise UnsupportedInputError("dimension needs a nonempty mark set")
-    count = 0
-    for root in positive_roots(m.diagram):
-        if any(root[i - 1] != 0 for i in m.marked):
-            count += 1
-    return count
+    levi = _components(m.diagram, m.marked)
+    return _root_count(m.diagram) - sum(_root_count(c.diagram) for c in levi)
 
 
 # ---------------------------------------------------------------------------
@@ -305,114 +272,55 @@ def apply_automorphism(sigma: Tuple[int, ...], nodes) -> FrozenSet[int]:
 class Component:
     """A connected component of a node deletion, re-identified as classical.
 
-    to_parent maps the component's own labels 1..m back to the parent
-    diagram's labels.
+    nodes[k] is the parent diagram's label of the component's own node k+1.
     """
 
     diagram: DynkinDiagram
-    to_parent: Tuple[Tuple[int, int], ...]  # (own label, parent label), sorted
+    nodes: Tuple[int, ...]
     parent_nodes: FrozenSet[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "parent_nodes", frozenset(b for _, b in self.to_parent))
-
-    def parent_node(self, own: int) -> int:
-        for a, b in self.to_parent:
-            if a == own:
-                return b
-        raise KeyError(own)
+        object.__setattr__(self, "parent_nodes", frozenset(self.nodes))
 
     def own_node(self, parent: int) -> int:
-        for a, b in self.to_parent:
-            if b == parent:
-                return a
-        raise KeyError(parent)
+        return self.nodes.index(parent) + 1
 
 
 @functools.cache
 def _components(d: DynkinDiagram, removed: FrozenSet[int]) -> Tuple[Component, ...]:
-    """Connected components of the induced subdiagram on nodes - removed."""
-    return tuple(_COMPONENTS.setdefault(c, c) for c in _split(d, removed))
+    """Connected components of the induced subdiagram on nodes - removed, in
+    the order of their least node.
 
-
-def _split(d: DynkinDiagram, removed: FrozenSet[int]) -> List[Component]:
-    keep = [i for i in d.nodes if i not in removed]
-    c = cartan_matrix(d)
-    adj: Dict[int, List[int]] = {
-        i: [j for j in keep if j != i and c[i - 1][j - 1] != 0] for i in keep
-    }
-    seen = set()
+    Every supported diagram is the path 1..n, or for D the path 1..n-2 with
+    the forks n-1 and n on node n-2, so each component is a run of
+    consecutive kept path nodes (the kept forks join the run ending at n-2)
+    or a fork cut off from n-2.
+    """
+    n, family = d.rank, d.family
+    path = range(1, (n - 2 if family == "D" else n) + 1)
+    forks = tuple(f for f in (n - 1, n) if family == "D" and f not in removed)
     comps = []
-    for start in keep:
-        if start in seen:
+    for kept, group in itertools.groupby(path, lambda i: i not in removed):
+        if not kept:
             continue
-        stack, nodes = [start], []
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            nodes.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(_identify_component(d, sorted(nodes), adj, c))
-    comps.sort(key=lambda comp: min(b for _, b in comp.to_parent))
-    return comps
-
-
-def _identify_component(d, nodes, adj, c) -> Component:
-    m = len(nodes)
-    if m == 1:
-        return Component(diagram("A", 1), ((1, nodes[0]),))
-
-    deg = {v: len([w for w in adj[v] if w in nodes]) for v in nodes}
-    fork = [v for v in nodes if deg[v] == 3]
-    multi = [
-        (u, v)
-        for u in nodes
-        for v in nodes
-        if u < v and c[u - 1][v - 1] * c[v - 1][u - 1] >= 2
-    ]
-
-    if fork:
-        # Only D-type parents produce a fork; its short branches are the two
-        # top-numbered parent nodes.
-        n = d.rank
-        spine = sorted(v for v in nodes if v < n - 1)
-        order = spine + [n - 1, n]
-        fam = diagram("D", m)  # m >= 4 whenever a degree-3 node is present
-        return Component(fam, tuple((i + 1, v) for i, v in enumerate(order)))
-
-    if multi:
-        (u, v) = multi[0]
-        mult = c[u - 1][v - 1] * c[v - 1][u - 1]
-        if mult == 3:
-            return Component(diagram("G2", 2), ((1, nodes[0]), (2, nodes[1])))
-        # Double edge from a B or C parent; the component is the interval
-        # ending at parent node n.
-        if m == 2:
-            # Normalize so the new matrix has C[2][1] = -2.
-            if c[u - 1][v - 1] == -2:
-                # arrow pattern of C2: relabel with v first
-                order = [v, u]
+        run = tuple(group)
+        m = len(run)
+        if run[-1] == n - 2 and forks:
+            if len(forks) == 2 and m == 1:
+                comps.append(Component(DynkinDiagram("A", 3), (n - 1, n - 2, n)))
             else:
-                order = [u, v]
-            return Component(diagram("B", 2), tuple((i + 1, w) for i, w in enumerate(order)))
-        fam = diagram(d.family, m)
-        order = sorted(nodes)
-        return Component(fam, tuple((i + 1, w) for i, w in enumerate(order)))
-
-    # Simply-laced path: walk it from its smallest endpoint.
-    ends = [v for v in nodes if deg[v] <= 1]
-    start = min(ends)
-    order = [start]
-    prev = None
-    cur = start
-    while len(order) < m:
-        nxt = [w for w in adj[cur] if w != prev and w in nodes]
-        prev, cur = cur, nxt[0]
-        order.append(cur)
-    return Component(diagram("A", m), tuple((i + 1, v) for i, v in enumerate(order)))
+                kind = "D" if len(forks) == 2 else "A"
+                comps.append(Component(DynkinDiagram(kind, m + len(forks)), run + forks))
+            forks = ()
+        elif run[-1] == n and family == "C" and m == 2:
+            # C2 is stored as B2, its two nodes swapped
+            comps.append(Component(DynkinDiagram("B", 2), run[::-1]))
+        elif run[-1] == n and family != "A" and m >= 2:
+            comps.append(Component(DynkinDiagram(family, m), run))
+        else:
+            comps.append(Component(DynkinDiagram("A", m), run))
+    comps += [Component(DynkinDiagram("A", 1), (f,)) for f in forks]
+    return tuple(_COMPONENTS.setdefault(c, c) for c in comps)
 
 
 def component_containing(d: DynkinDiagram, removed, node: int) -> Component:
@@ -434,4 +342,4 @@ def restriction_tag(parent: DynkinDiagram, sub: Component, external_node: int) -
     if external_node in sub.parent_nodes:
         raise UnsupportedInputError("external node must lie outside the component")
     c = cartan_matrix(parent)
-    return tuple(-c[sub.parent_node(own) - 1][external_node - 1] for own in sub.diagram.nodes)
+    return tuple(-c[p - 1][external_node - 1] for p in sub.nodes)

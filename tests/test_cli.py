@@ -71,6 +71,28 @@ def test_classify_bad_diagram_exits_two(capsys):
     assert "Z9" in err
 
 
+@pytest.mark.parametrize(
+    "argv,alias,stored",
+    [
+        (("classify", "--diagram", "C2", "--marked", "1", "--unmark", "2"), "C2", "B2"),
+        (("classify", "--diagram", "D3", "--marked", "2", "--unmark", "3"), "D3", "A3"),
+        (("explain", "C2(1)"), "C2", "B2"),
+        (("explain", "D3(1)"), "D3", "A3"),
+    ],
+    ids=["classify-C2", "classify-D3", "explain-C2", "explain-D3"],
+)
+def test_aliased_diagram_text_exits_two(capsys, argv, alias, stored):
+    # C2 and D3 are stored as B2 and A3 under other node labels, so reading
+    # the given labels as the stored diagram's would answer another question
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"flagnest: unsupported input: {alias} is stored as {stored}; "
+        f"write {stored} so the node labels are unambiguous\n"
+    )
+
+
 def _limit_memory():
     # a regression here would allocate per-node tables until memory runs out
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))

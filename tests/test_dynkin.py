@@ -1,6 +1,9 @@
 """Diagram combinatorics: Cartan matrices, degrees, root counts, marked
 variety dimensions, automorphisms, deletion components and restriction
-tags."""
+tags.
+
+The reference root list below and the Cartan-matrix component oracle are
+independent of how `dynkin` builds components and counts Levi roots."""
 
 from itertools import combinations
 
@@ -21,7 +24,6 @@ from flagnest.dynkin import (
     nontrivial_automorphisms,
     parse_diagram,
     parse_marked,
-    positive_roots,
     restriction_tag,
     variety_dimension,
 )
@@ -42,6 +44,10 @@ def test_cartan_matrix_conventions():
 def test_low_rank_normalizations():
     assert diagram("C", 2) == diagram("B", 2)
     assert diagram("D", 3) == diagram("A", 3)
+    # as text the aliases are refused: their node labels differ from B2's and A3's
+    for text, stored in (("C2", "B2"), ("d3", "A3")):
+        with pytest.raises(UnsupportedInputError, match=f"is stored as {stored}; write {stored}"):
+            parse_diagram(text)
     with pytest.raises(UnsupportedInputError):
         diagram("D", 2)
     with pytest.raises(UnsupportedInputError):
@@ -89,12 +95,67 @@ def test_coxeter_numbers():
     assert coxeter_number(diagram("G2", 2)) == 6
 
 
+def positive_roots(d):
+    """All positive roots as coefficient vectors over the simple roots, listed
+    from their expressions in the orthonormal basis e_i: the reference that
+    the Levi root counts of `variety_dimension` are checked against."""
+    n = d.rank
+    roots = []
+
+    def vec(pairs):
+        v = [0] * n
+        for idx, val in pairs:
+            v[idx - 1] += val
+        return tuple(v)
+
+    def ones(lo, hi):  # alpha_lo + ... + alpha_hi
+        return [(k, 1) for k in range(lo, hi + 1)]
+
+    def twos(lo, hi):
+        return [(k, 2) for k in range(lo, hi + 1)]
+
+    if d.family == "A":
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                roots.append(vec(ones(i, j)))
+    elif d.family == "B":
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                roots.append(vec(ones(i, j - 1)))  # e_i - e_j
+            roots.append(vec(ones(i, n)))  # e_i
+            for j in range(i + 1, n + 1):
+                roots.append(vec(ones(i, j - 1) + twos(j, n)))  # e_i + e_j
+    elif d.family == "C":
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                roots.append(vec(ones(i, j - 1)))  # e_i - e_j
+            for j in range(i + 1, n + 1):
+                roots.append(vec(ones(i, j - 1) + twos(j, n - 1) + [(n, 1)]))  # e_i + e_j
+            roots.append(vec(twos(i, n - 1) + [(n, 1)]))  # 2 e_i
+    elif d.family == "D":
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                roots.append(vec(ones(i, j - 1)))  # e_i - e_j
+        for i in range(1, n):
+            roots.append(vec(ones(i, n - 2) + [(n, 1)]))  # e_i + e_n
+        for i in range(1, n):
+            for j in range(i + 1, n):
+                roots.append(vec(ones(i, j - 1) + twos(j, n - 2) + [(n - 1, 1), (n, 1)]))  # e_i + e_j
+    else:  # G2
+        roots = [(1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3)]
+    return roots
+
+
 def test_positive_root_counts():
     assert len(positive_roots(diagram("A", 4))) == 10
     assert len(positive_roots(diagram("B", 3))) == 9
     assert len(positive_roots(diagram("C", 4))) == 16
     assert len(positive_roots(diagram("D", 5))) == 20
     assert len(positive_roots(diagram("G2", 2))) == 6
+    for d in _diagrams_up_to(9):
+        roots = positive_roots(d)
+        assert len(set(roots)) == len(roots)
+        assert dynkin._root_count(d) == len(roots)
 
 
 def test_variety_dimensions_closed_forms():
@@ -145,10 +206,12 @@ def test_automorphisms_preserve_cartan_matrix():
 def test_delete_nodes_splits_d5():
     comps = dynkin._components(diagram("D", 5), frozenset({2}))
     assert [c.diagram for c in comps] == [diagram("A", 1), diagram("A", 3)]
+    assert comps[0].nodes == (1,)
     tail = comps[1]
     assert tail.parent_nodes == frozenset({3, 4, 5})
-    assert tail.parent_node(2) == 3
-    assert {tail.parent_node(1), tail.parent_node(3)} == {4, 5}
+    # the lone fork node 3 is the middle of the A3, walked from fork 4
+    assert tail.nodes == (4, 3, 5)
+    assert [tail.own_node(p) for p in (4, 3, 5)] == [1, 2, 3]
     assert component_containing(diagram("D", 5), {2}, 1) is comps[0]
     assert component_containing(diagram("D", 5), {2}, 5) is tail
 
@@ -159,6 +222,8 @@ def test_delete_nodes_keeps_double_edge_orientation():
     sub = comps[0]
     assert component_containing(diagram("C", 4), {1, 2}, 3) is sub
     assert sub.diagram == diagram("B", 2)
+    # C2 is stored as B2, so the short node 4 comes first
+    assert sub.nodes == (4, 3)
     c = cartan_matrix(sub.diagram)
     assert c[1][0] == -2
 
@@ -190,8 +255,8 @@ def test_memoized_deletions_match_fresh_computation():
     for d, removed in cases:
         dynkin._components(d, removed)
     for d, removed in reversed(cases):
-        fresh = dynkin._split(d, removed)
-        assert list(dynkin._components(d, removed)) == fresh
+        fresh = dynkin._components.__wrapped__(d, removed)
+        assert dynkin._components(d, removed) == fresh
         for node in d.nodes:
             if node in removed:
                 with pytest.raises(UnsupportedInputError):
@@ -216,14 +281,32 @@ def test_memoized_cartan_and_automorphisms_match_fresh_computation():
             assert nontrivial_automorphisms(d) == ()
 
 
-def test_memoized_roots_match_fresh_computation():
+def test_variety_dimension_counts_the_roots_meeting_the_marks():
     for d in _diagrams_up_to(9):
-        fresh = positive_roots.__wrapped__(d)
-        assert positive_roots(d) == fresh
-        assert positive_roots(d) is positive_roots(d)
-        for node in d.nodes:
-            want = sum(1 for root in fresh if root[node - 1] != 0)
-            assert variety_dimension(marked(d, {node})) == want
+        roots = positive_roots(d)
+        for size in range(1, d.rank + 1):
+            for marks in combinations(d.nodes, size):
+                want = sum(1 for root in roots if any(root[i - 1] for i in marks))
+                assert variety_dimension(marked(d, marks)) == want, (d, marks)
+    with pytest.raises(UnsupportedInputError):
+        variety_dimension(marked(diagram("A", 3), ()))
+
+
+def test_components_are_the_connected_pieces_of_the_cartan_matrix():
+    for d in _diagrams_up_to(9):
+        c = cartan_matrix(d)
+        for size in range(d.rank + 1):
+            for removed in combinations(d.nodes, size):
+                comps = dynkin._components(d, frozenset(removed))
+                labels = [p for comp in comps for p in comp.nodes]
+                assert sorted(labels) == [i for i in d.nodes if i not in removed]
+                assert [min(comp.nodes) for comp in comps] == sorted(min(comp.nodes) for comp in comps)
+                for comp in comps:
+                    assert comp.parent_nodes == frozenset(comp.nodes)
+                    restricted = tuple(tuple(c[p - 1][q - 1] for q in comp.nodes) for p in comp.nodes)
+                    assert cartan_matrix(comp.diagram) == restricted, (d, removed, comp)
+                for a, b in combinations(comps, 2):
+                    assert all(c[p - 1][q - 1] == 0 for p in a.nodes for q in b.nodes)
 
 
 def test_memoized_values_are_immutable():
@@ -232,7 +315,6 @@ def test_memoized_values_are_immutable():
     for f, args in (
         (cartan_matrix, (d,)),
         (diagram_automorphisms, (d,)),
-        (positive_roots, (d,)),
         (dynkin._components, (d, removed)),
     ):
         value = f(*args)

@@ -70,7 +70,6 @@ CLASSIFY_GOLDEN = {
     "B6": "52b1b8528e38d6bfe9c83d575f97f03a49438bf908b3d9325cc1517a1e5da059",
     "B7": "9fac40759b67b0a969520847e85d0648f42fcc873442739a0e5417ab1e2949e6",
     "B8": "8a5811904f3662a74c51334c4daf648f43e45431baffdd1c785dabc72d1c5209",
-    "C2": "c46793236bf6a4952012e0572e74d87d7e42c3e6030f5b8cd73e94d9b6249931",
     "C3": "3685b94e2a3c21605d70763ca4337c738e9ff3bde569196786c7a08c8e953bd3",
     "C4": "e7d67e589d2c02e7fcd66efa8e51ab6125a638192ec079d501e3809e85f19c98",
     "C5": "f4fae6410dd9b518b59476a9f11a40a9f8431615545f7bfdabf20ab6bcd008dc",
