@@ -26,7 +26,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .dynkin import DynkinDiagram, MarkedDiagram, marked
 from .errors import InternalInconsistencyError, UnsupportedInputError
-from .exactpoly import GradedPoly, Scalar, UniPoly, coeff_plus
+from .exactpoly import GradedPoly, Scalar, UniPoly, _div, coeff_plus
 from .linalg import rank
 
 _CLASSICAL = ("A", "B", "C", "D")
@@ -300,37 +300,61 @@ def eliminate_even_generators(p: GradedPresentation) -> GradedPresentation:
     which is what the downstream surjectivity arguments feed on.  Not
     memoized (a presentation is unhashable); `eliminated_target` keeps the
     result per diagram.
+
+    The solving runs on int term dicts over the odd generators alone, in the
+    scaled variables q_k = Q_k/2: every solved Q is stored as a polynomial in
+    the odd q's, and each relation is evaluated at the values solved so far.
+    The halving in Q_{2i} = -rest/2 is exact there.  With Q_k = 2*q_k, the
+    degree-2i coefficient of Q(t)Q(-t) = 1 is
+    4*(q_{2i} + sum_{0<j<2i} (-1)^j q_j q_{2i-j}), so every q_{2i} is an
+    integral polynomial in the odd q's (Pragacz, "Algebro-geometric
+    applications of Schur S- and Q-polynomials", 1991).  Every value
+    Q_k = 2*q_k then has even coefficients, each term of rest is an int times
+    a product of values, and rest/2 is integral; a remainder raises instead
+    of being floored away.  A surviving relation is turned back into the Q's
+    once: a q-coefficient g on monomial e becomes g / 2^|e|.
     """
     family, n = p.variety.diagram.family, p.variety.diagram.rank
     if family not in ("B", "C", "D") or sorted(p.variety.marked) != [n]:
         raise UnsupportedInputError("even-generator elimination applies to maximal "
                                     "isotropic Grassmannians only")
     table = p.generators
-    subs: Dict[str, GradedPoly] = {}
+    odd_top = n if n % 2 else n - 1
+    if family == "D" and n % 2:
+        odd_top = n - 2
+    reduced_table = tuple((f"Q{i}", i) for i in range(1, odd_top + 1, 2))
+    width = len(reduced_table)
+    # values[k] is Q_{k+1} as {exponents over the odd q's: int}; None while unsolved
+    values: List[Optional[Dict[Tuple[int, ...], Scalar]]] = [None] * n
+    for slot in range(width):
+        values[2 * slot] = {tuple(int(i == slot) for i in range(width)): 2}
     if family == "D":
         if GradedPoly.generator(table, f"Q{n}") not in p.relations:
             raise InternalInconsistencyError(f"no relation Q{n} = 0 in {p.variety}")
-        subs[f"Q{n}"] = GradedPoly.zero(table)
-
-    def reduce(poly: GradedPoly) -> GradedPoly:
-        for name, val in subs.items():
-            poly = poly.substitute(name, val)
-        return poly
+        values[n - 1] = {}
 
     solve_top = n if family in ("B", "C") else n - 1
-    survivors: List[Tuple[int, GradedPoly]] = []
+    survivors: List[Tuple[int, dict]] = []
     # the coefficients of Q(t)Q(-t) by degree; for D, then Q_n, which reduces to 0
     for d, rel in zip(p.rel_degrees, p.relations):
-        c = reduce(rel)
         if d <= solve_top:
             name = f"Q{d}"
-            lead = c.coefficient({name: 1})
-            if lead != 2:
+            if values[d - 1] is not None or rel.coefficient({name: 1}) != 2:
                 raise InternalInconsistencyError(f"degree-{d} relation not solvable for {name}")
-            rest = c - GradedPoly.generator(table, name) * 2
-            subs[name] = rest * Fraction(-1, 2)
-        elif c.terms:
-            survivors.append((d, c))
+            lead = tuple(int(i == d - 1) for i in range(n))
+            rest = _evaluate(rel, values, width, skip=lead)
+            solved = {}
+            for e, c in rest.items():
+                half, odd = divmod(-c, 2)
+                if odd:
+                    raise InternalInconsistencyError(f"degree-{d} relation halves {name} "
+                                                     f"to a non-integral q-coefficient")
+                solved[e] = half
+            values[d - 1] = solved
+        else:
+            c = _evaluate(rel, values, width)
+            if c:
+                survivors.append((d, c))
 
     expected = set(
         range(2 * (n // 2) + 2, 2 * n + 1, 2)
@@ -342,13 +366,45 @@ def eliminate_even_generators(p: GradedPresentation) -> GradedPresentation:
             f"surviving relation degrees {sorted(d for d, _ in survivors)} != {sorted(expected)}"
         )
 
-    odd_top = n if n % 2 else n - 1
-    if family == "D" and n % 2:
-        odd_top = n - 2
-    reduced_table = tuple((f"Q{i}", i) for i in range(1, odd_top + 1, 2))
-    keep = [i for i, (nm, _) in enumerate(table) if int(nm[1:]) % 2 and int(nm[1:]) <= odd_top]
-    rels = tuple(_project(c, reduced_table, keep) for _, c in survivors)
+    rels = tuple(
+        GradedPoly._make(reduced_table, {e: _div(g, 1 << sum(e)) for e, g in c.items()})
+        for _, c in survivors
+    )
     return GradedPresentation(p.variety, reduced_table, rels)
+
+
+def _evaluate(rel: GradedPoly, values, width: int, skip=None) -> dict:
+    """rel at the solved values, as {exponents over the odd q's: coefficient}
+    with the zeros dropped; the term with exponents `skip` is left out."""
+    acc: dict = {}
+    get = acc.get
+    for expo, c in rel.terms.items():
+        if expo == skip:
+            continue
+        term = {(0,) * width: c}
+        for i, e in enumerate(expo):
+            if not e:
+                continue
+            value = values[i]
+            if value is None:
+                raise InternalInconsistencyError(f"relation {rel} reaches the unsolved "
+                                                 f"generator {rel.gens[i][0]}")
+            for _ in range(e):
+                term = _times(term, value)
+        for e2, c2 in term.items():
+            acc[e2] = get(e2, 0) + c2
+    return {e: c for e, c in acc.items() if c}
+
+
+def _times(a: dict, b: dict) -> dict:
+    """Product of two term dicts over one exponent width."""
+    acc: dict = {}
+    get = acc.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            acc[e] = get(e, 0) + c1 * c2
+    return acc
 
 
 def _project(poly: GradedPoly, reduced_table, keep: Sequence[int]) -> GradedPoly:

@@ -20,7 +20,7 @@ approximating roots.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from operator import mul
@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .dynkin import MAX_RANK
 from .errors import InternalInconsistencyError, UnsupportedInputError
-from .exactpoly import GaussRat, UniPoly, _as_rational, _div, _normal
+from .exactpoly import GaussRat, Scalar, UniPoly, _as_rational, _div, _normal
 from .linalg import determinant, in_row_span, kernel_basis, row_echelon
 
 Matrix = Tuple[tuple, ...]
@@ -64,6 +64,8 @@ class FormSpace:
     dim: int
     gram: Matrix
     sign: int
+    # (i, j, gram[i][j]) of every nonzero entry in row-major order, found once
+    entries: Tuple[Tuple[int, int, Scalar], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gram", _rational_rows(self.gram))
@@ -79,10 +81,11 @@ class FormSpace:
             raise UnsupportedInputError(f"{matrix} is not {'' if symmetric else 'anti'}symmetric")
         if determinant(self.gram) == 0:
             raise UnsupportedInputError(f"{'bilinear ' if symmetric else ''}form is degenerate")
+        entries = tuple((i, j, g) for i, r in enumerate(self.gram) for j, g in enumerate(r) if g)
+        object.__setattr__(self, "entries", entries)
 
     def pairing(self, u, v):
-        # the Gram matrices are sparse, and a zero entry adds nothing
-        return sum(u[i] * g * v[j] for i, r in enumerate(self.gram) for j, g in enumerate(r) if g)
+        return sum(u[i] * g * v[j] for i, j, g in self.entries)
 
     def is_isotropic(self, rows) -> bool:
         return all(
@@ -93,8 +96,12 @@ class FormSpace:
 
     def perp(self, rows) -> Matrix:
         """{v : b(r, v) = 0 for every row r}, as a canonical basis."""
-        cols = tuple(zip(*self.gram))
-        paired = [[sum(a * g for a, g in zip(r, col) if g) for col in cols] for r in rows]
+        paired = []
+        for r in rows:
+            vec = [0] * self.dim
+            for i, j, g in self.entries:
+                vec[j] += r[i] * g
+            paired.append(vec)
         return _canonical_span(kernel_basis(paired, ncols=self.dim))
 
 

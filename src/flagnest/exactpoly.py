@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 
@@ -209,6 +209,9 @@ class UniPoly:
             return UniPoly([c * other for c in self.coeffs])
         if self.is_zero() or other.is_zero():
             return UniPoly()
+        gens = _graded_table(self.coeffs, other.coeffs)
+        if gens is not None:
+            return self._graded_product(other, gens)
         # None marks a slot no product has reached yet, so the first product
         # lands as is instead of being added to a rational zero
         out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -221,6 +224,27 @@ class UniPoly:
                 prev = out[i + j]
                 out[i + j] = a * b if prev is None else prev + a * b
         return UniPoly([0 if c is None else c for c in out])
+
+    def _graded_product(self, other: "UniPoly", gens: tuple) -> "UniPoly":
+        """The product when every nonzero coefficient is a GradedPoly over
+        `gens`: every term product that lands in a slot is added into that
+        slot's one dict, normalized once.  A slot that no product reaches is
+        an int 0, as in the general loop."""
+        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
+        right = [(j, b.terms.items()) for j, b in enumerate(other.coeffs) if b]
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j, b_terms in right:
+                acc = out[i + j]
+                if acc is None:
+                    acc = out[i + j] = {}
+                get = acc.get
+                for e1, c1 in a.terms.items():
+                    for e2, c2 in b_terms:
+                        expo = tuple(map(add, e1, e2))
+                        acc[expo] = get(expo, 0) + c1 * c2
+        return UniPoly([0 if acc is None else GradedPoly._make(gens, _cleaned(acc)) for acc in out])
 
     def substitute_neg(self) -> "UniPoly":
         """Return p(-t): flip the sign of every odd-degree coefficient."""
@@ -255,6 +279,23 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)!r})"
+
+
+def _graded_table(*coeff_lists) -> Optional[tuple]:
+    """The generator table shared by every nonzero coefficient, when all of
+    them are GradedPoly over one table; else None."""
+    gens = None
+    for coeffs in coeff_lists:
+        for c in coeffs:
+            if not c:
+                continue
+            if type(c) is not GradedPoly:
+                return None
+            if gens is None:
+                gens = c.gens
+            elif c.gens is not gens and c.gens != gens:
+                return None
+    return gens
 
 
 def coeff_plus(p: UniPoly) -> dict:
@@ -438,12 +479,10 @@ class GradedPoly:
 
     # -- graded structure ----------------------------------------------
 
-    def monomial_degree(self, expo: Sequence[int]) -> int:
-        return sum(e * d for e, (_, d) in zip(expo, self.gens))
-
     def homogeneous_degree(self) -> Optional[int]:
         """The common weighted degree of all terms, or None if mixed/zero."""
-        degrees = {self.monomial_degree(e) for e in self.terms}
+        weights = [d for _, d in self.gens]
+        degrees = {sum(map(mul, e, weights)) for e in self.terms}
         if len(degrees) == 1:
             return degrees.pop()
         return None

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from flagnest.acceptance import _reference_elimination
 from flagnest.cohomology import (
+    GradedPresentation,
     degree_ledger,
     eliminate_even_generators,
     eliminated_target,
@@ -15,7 +17,7 @@ from flagnest.cohomology import (
     slice_dimension,
 )
 from flagnest.dynkin import diagram, marked
-from flagnest.errors import UnsupportedInputError
+from flagnest.errors import InternalInconsistencyError, UnsupportedInputError
 from flagnest.exactpoly import GradedPoly
 
 
@@ -230,6 +232,45 @@ def test_eliminate_is_memoized():
 def test_eliminate_rejects_other_shapes():
     with pytest.raises(UnsupportedInputError):
         eliminate_even_generators(pres("B", 3, {1}))
+
+
+def test_eliminate_equals_chained_substitution_reference():
+    for family, lo in (("B", 2), ("C", 3), ("D", 4)):
+        for n in range(lo, 17):
+            p = pres(family, n, {n})
+            got, want = eliminate_even_generators(p), _reference_elimination(p)
+            assert got == want, f"{family}{n}"
+            # the same normal form: an int where integral, else a Fraction
+            for g, w in zip(got.relations, want.relations):
+                assert {e: type(c) for e, c in g.terms.items()} == {
+                    e: type(c) for e, c in w.terms.items()
+                }
+
+
+def _with_relations(p, relations):
+    return GradedPresentation(p.variety, p.generators, tuple(relations))
+
+
+def test_eliminate_rejects_a_lead_coefficient_other_than_two():
+    p = pres("B", 3, {3})
+    q2 = GradedPoly.generator(p.generators, "Q2")
+    rels = list(p.relations)
+    rels[0] = rels[0] + q2  # 3*Q2 - Q1^2
+    with pytest.raises(InternalInconsistencyError, match="not solvable for Q2"):
+        eliminate_even_generators(_with_relations(p, rels))
+    # a second relation in a solved degree is not solvable either
+    with pytest.raises(InternalInconsistencyError, match="not solvable for Q2"):
+        eliminate_even_generators(_with_relations(p, [p.relations[0]] + list(p.relations)))
+
+
+def test_eliminate_rejects_a_halving_with_a_remainder():
+    p = pres("B", 3, {3})
+    q1, q2 = (GradedPoly.generator(p.generators, x) for x in ("Q1", "Q2"))
+    rels = list(p.relations)
+    # 2*Q2 - Q1^2/4: with Q1 = 2*q1, Q2 = -rest/2 = q1^2/2 has no int coefficient
+    rels[0] = q2 * 2 - q1 * q1 * Fraction(1, 4)
+    with pytest.raises(InternalInconsistencyError, match="non-integral"):
+        eliminate_even_generators(_with_relations(p, rels))
 
 
 def test_eliminated_relations_resubstitute_into_original_ideal():

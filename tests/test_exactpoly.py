@@ -125,6 +125,56 @@ def test_unipoly_with_graded_coefficients():
     assert coeff_plus(p) == {1: u + v, 2: u * v}
 
 
+GRADED_GENS = (("u", 1), ("v", 2))
+graded_coeffs = st.one_of(
+    st.just(0),
+    st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.fractions(min_value=-4, max_value=4, max_denominator=3),
+        max_size=3,
+    ).map(lambda terms: GradedPoly(GRADED_GENS, terms)),
+)
+
+
+def _coefficientwise_product(a, b):
+    """Slot k is the GradedPoly sum of a[i]*b[k-i] over the nonzero pairs,
+    or an int 0 when no such pair exists; trailing zeros stripped."""
+    out = []
+    for k in range(len(a) + len(b) - 1):
+        products = [a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b) and a[i] and b[k - i]]
+        acc = products[0] if products else 0
+        for prod in products[1:]:
+            acc = acc + prod
+        out.append(acc)
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _typed(coeffs):
+    return [
+        (type(c), {e: (v, type(v)) for e, v in c.terms.items()} if isinstance(c, GradedPoly) else c)
+        for c in coeffs
+    ]
+
+
+@given(st.lists(graded_coeffs, min_size=1, max_size=5), st.lists(graded_coeffs, min_size=1, max_size=5))
+def test_unipoly_graded_product_equals_coefficientwise_reference(a, b):
+    got = UniPoly(a) * UniPoly(b)
+    want = _coefficientwise_product(UniPoly(a).coeffs, UniPoly(b).coeffs)
+    assert _typed(got.coeffs) == _typed(want)
+
+
+def test_unipoly_graded_product_keeps_int_zero_in_unreached_slots():
+    one, u, v = (GradedPoly.const(GRADED_GENS, 1), *(GradedPoly.generator(GRADED_GENS, x) for x in "uv"))
+    zero = GradedPoly.zero(GRADED_GENS)
+    got = UniPoly([one, zero, -u]) * UniPoly([one, 0, v])
+    assert _typed(got.coeffs) == _typed((one, 0, v - u, 0, -(u * v)))
+    # a slot that products reach but whose sum cancels is an empty GradedPoly
+    got = UniPoly([one, u]) * UniPoly([one, -u])
+    assert _typed(got.coeffs) == _typed((one, zero, -(u * u)))
+
+
 def test_graded_poly_ring_basics():
     gens = (("h", 1), ("k", 2))
     h = GradedPoly.generator(gens, "h")

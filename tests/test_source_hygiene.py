@@ -1,5 +1,6 @@
 """Source hygiene of the package: no dead definitions, public or private, no
-unused imports, no unread parameters, no hand-rolled memo tables.
+unused imports, no unread parameters, no hand-rolled memo tables, and no
+module but the CLI importing the acceptance oracles.
 
 A module-level function or class, or a method in a class body, that nothing
 in the package refers to is code no decision, CLI verb or self-check
@@ -129,3 +130,20 @@ def test_no_module_level_mutable_container_but_the_allowed_ones():
     assert sorted(set(found) - MUTABLE_GLOBALS) == []
     # an allowed container that is gone must leave the list too
     assert sorted(MUTABLE_GLOBALS - set(found)) == []
+
+
+def test_only_the_cli_imports_the_acceptance_checks():
+    """The self-check oracles stay off the decision path: no module but the
+    CLI front end imports `acceptance`."""
+    importers = set()
+    for mod, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                paths = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                paths = [alias.name for alias in node.names]
+            else:
+                continue
+            if any("acceptance" in path.split(".") for path in paths):
+                importers.add(mod)
+    assert sorted(importers) == ["cli"]
