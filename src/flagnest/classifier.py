@@ -15,6 +15,7 @@ import gc
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .chern import chern_from_poly, factor_unit_minus_tk, schwarzenberger_s33
@@ -46,22 +47,28 @@ from .exactpoly import GradedPoly, Scalar, UniPoly, exact_div
 EXISTS = "exists"
 NOT_EXISTS = "not_exists"
 
-# Rules that may legally close a trace.  Everything in _EXECUTED_RULES records
-# arithmetic that was actually carried out during the call; the two
-# _RECORDED_RULES stand for facts that are cited rather than recomputed.
-_EXECUTED_RULES = frozenset(
+# The rules that may close a trace, by result.  A positive decision closes on
+# the construction that builds the section.  A negative one closes on
+# arithmetic actually carried out during the call (the first seven) or on
+# one of two facts that are cited rather than recomputed.
+_CLOSERS: Mapping[str, FrozenSet[str]] = MappingProxyType(
     {
-        "chern-factorization",
-        "coxeter-parity",
-        "splitting-degree-scan",
-        "generator-degree-gap",
-        "dimension-drop",
-        "missing-relation-degree",
-        "rational-curve-tag",
+        EXISTS: frozenset({"explicit-section"}),
+        NOT_EXISTS: frozenset(
+            {
+                "chern-factorization",
+                "coxeter-parity",
+                "splitting-degree-scan",
+                "generator-degree-gap",
+                "dimension-drop",
+                "missing-relation-degree",
+                "rational-curve-tag",
+                "exceptional-rank-two",
+                "triality-exclusion",
+            }
+        ),
     }
 )
-_RECORDED_RULES = frozenset({"exceptional-rank-two", "triality-exclusion"})
-_CONSTRUCTION_RULES = frozenset({"explicit-section"})
 
 _G2_ANCHOR = (
     "Both forgetful projections from the full flag of the rank-two exceptional "
@@ -101,13 +108,6 @@ class TraceStep:
     rule: str
     anchor: str
     data: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not str(self.rule).strip():
-            raise UnsupportedInputError("trace step needs a rule name")
-        if not str(self.anchor).strip():
-            raise UnsupportedInputError("trace step needs a justification")
-        object.__setattr__(self, "data", dict(self.data))
 
     def to_json(self) -> dict:
         return {"rule": self.rule, "anchor": self.anchor, "data": _jsonable(self.data)}
@@ -375,6 +375,36 @@ def _relation_multiset(pres: GradedPresentation, swap: bool) -> list:
     return sorted(rows)
 
 
+def _missing_relation_degree(
+    steps: List[TraceStep], d: DynkinDiagram, r: int, rel: GradedPoly, degree: int,
+    led: Mapping, anchor: str,
+) -> ObstructionOutcome:
+    """Close the obstruction of D(r, n) -> D(n) on the missing-relation-degree
+    step for the flag relation `rel`, once checked: rel pairs q1 with the top
+    generator q_r, q_r occurs nowhere else in it, every b exponent is even,
+    and the eliminated target has only odd generators, the largest of degree
+    r, and no relation in this degree."""
+    main, clean, even_b = _relation_shape(rel, f"q{r}")
+    odd_gens = all(deg % 2 == 1 for deg in led["generator_degrees"])
+    gap = led["min_relation_degree"] is None or led["min_relation_degree"] > degree
+    if main == 0 or not clean or not even_b or not odd_gens or not gap:
+        raise InternalInconsistencyError(
+            f"degree-{degree} relation of {d}({r},{d.rank}) lacks the expected shape"
+        )
+    if led["max_generator_degree"] != r:
+        raise InternalInconsistencyError("target generator degrees changed unexpectedly")
+    data = {
+        "relation_degree": degree,
+        "pairing_coefficient": Fraction(main),
+        "top_generator": f"q{r}",
+        "b_exponents_even": even_b,
+        "target_generator_degrees": led["generator_degrees"],
+        "target_min_relation_degree": led["min_relation_degree"],
+    }
+    steps.append(TraceStep("missing-relation-degree", anchor, data))
+    return ObstructionOutcome(True, tuple(steps))
+
+
 def obstruct_last_node(family: str, n: int, r: int) -> ObstructionOutcome:
     """Cohomological obstructions for a section of D(r, n) -> D(n).
 
@@ -440,38 +470,17 @@ def obstruct_last_node(family: str, n: int, r: int) -> ObstructionOutcome:
         return ObstructionOutcome(False, tuple(steps))
 
     if family in ("B", "C") and r == n - 1 and n % 2 == 0:
-        top = f"q{r}"
         rel = _unique_relation_of_degree(presentation(marked(d, [r, n])), n)
-        main, clean, even_b = _relation_shape(rel, top)
-        odd_gens = all(deg % 2 == 1 for deg in led["generator_degrees"])
-        gap = led["min_relation_degree"] is None or led["min_relation_degree"] > n
-        if main == 0 or not clean or not even_b or not odd_gens or not gap:
-            raise InternalInconsistencyError(
-                f"degree-{n} relation of {family}{n}({r},{n}) lacks the expected shape"
-            )
-        if led["max_generator_degree"] != n - 1:
-            raise InternalInconsistencyError("target generator degrees changed unexpectedly")
-        steps.append(
-            TraceStep(
-                "missing-relation-degree",
-                "Under a section the flag ring surjects onto the isotropic ring, "
-                "whose generators all sit in odd degree; surjectivity forces the "
-                "top q generator to map with a nonzero indecomposable component "
-                "and ampleness keeps the degree-one generator nonzero, so the "
-                "image of the unique degree-n flag relation retains a nonzero "
-                "coefficient against the pairing of those two, yet the target has "
-                "no relation in that degree.",
-                {
-                    "relation_degree": n,
-                    "pairing_coefficient": Fraction(main),
-                    "top_generator": top,
-                    "b_exponents_even": even_b,
-                    "target_generator_degrees": led["generator_degrees"],
-                    "target_min_relation_degree": led["min_relation_degree"],
-                },
-            )
+        return _missing_relation_degree(
+            steps, d, r, rel, n, led,
+            "Under a section the flag ring surjects onto the isotropic ring, "
+            "whose generators all sit in odd degree; surjectivity forces the "
+            "top q generator to map with a nonzero indecomposable component "
+            "and ampleness keeps the degree-one generator nonzero, so the "
+            "image of the unique degree-n flag relation retains a nonzero "
+            "coefficient against the pairing of those two, yet the target has "
+            "no relation in that degree.",
         )
-        return ObstructionOutcome(True, tuple(steps))
 
     if family == "D" and n % 2 == 1 and r in (2, n - 2):
         if r == 2:
@@ -526,34 +535,14 @@ def obstruct_last_node(family: str, n: int, r: int) -> ObstructionOutcome:
             )
         )
         rel = _unique_relation_of_degree(flag, n - 1)
-        rel = rel.substitute("b2", GradedPoly.zero(rel.gens))
-        main, clean, even_b = _relation_shape(rel, f"q{n - 2}")
-        odd_gens = all(deg % 2 == 1 for deg in led["generator_degrees"])
-        if main == 0 or not clean or not even_b or not odd_gens:
-            raise InternalInconsistencyError(
-                f"degree-{n - 1} relation of D{n}({n - 2},{n}) lacks the expected shape"
-            )
-        if led["max_generator_degree"] != n - 2:
-            raise InternalInconsistencyError("target generator degrees changed unexpectedly")
-        steps.append(
-            TraceStep(
-                "missing-relation-degree",
-                "With b2 forced to zero, the image of the even flag relation just "
-                "below the top keeps a nonzero coefficient against the pairing of "
-                "the degree-one generator with the top one, because surjectivity "
-                "and ampleness keep both images nonzero; the target has no "
-                "relation in that degree either, a contradiction.",
-                {
-                    "relation_degree": n - 1,
-                    "pairing_coefficient": Fraction(main),
-                    "top_generator": f"q{n - 2}",
-                    "b_exponents_even": even_b,
-                    "target_generator_degrees": led["generator_degrees"],
-                    "target_min_relation_degree": led["min_relation_degree"],
-                },
-            )
+        return _missing_relation_degree(
+            steps, d, r, rel.substitute("b2", GradedPoly.zero(rel.gens)), n - 1, led,
+            "With b2 forced to zero, the image of the even flag relation just "
+            "below the top keeps a nonzero coefficient against the pairing of "
+            "the degree-one generator with the top one, because surjectivity "
+            "and ampleness keep both images nonzero; the target has no "
+            "relation in that degree either, a contradiction.",
         )
-        return ObstructionOutcome(True, tuple(steps))
 
     raise InternalInconsistencyError(f"no obstruction rule matched {family}{n}({r},{n})")
 
@@ -635,18 +624,11 @@ def _canonical_decision(d: DynkinDiagram, kept: Marks, forgotten: Marks) -> Pair
     if pair is not None:
         return pair
     result, steps = _decide(d, kept, forgotten)
-    if result not in (EXISTS, NOT_EXISTS):
-        raise InternalInconsistencyError(f"bad result {result!r}")
     if not steps:
         raise InternalInconsistencyError("decision without a trace")
-    last = steps[-1].rule
-    if result == EXISTS and last not in _CONSTRUCTION_RULES:
+    if steps[-1].rule not in _CLOSERS.get(result, ()):
         raise InternalInconsistencyError(
-            f"positive decision must close with a construction, got {last!r}"
-        )
-    if result == NOT_EXISTS and last not in _EXECUTED_RULES | _RECORDED_RULES:
-        raise InternalInconsistencyError(
-            f"negative decision must close with a computation or recorded fact, got {last!r}"
+            f"a {result!r} decision must close on a rule of _CLOSERS, got {steps[-1].rule!r}"
         )
     pair = (result, tuple(steps))
     if len(forgotten) == 1:
@@ -683,23 +665,34 @@ def _decide(d: DynkinDiagram, kept: Marks, forgotten: Marks) -> Tuple[str, List[
     return _decide_extremal(d, i, j)
 
 
+def _subquery_step(
+    steps: List[TraceStep], rule: str, anchor: str, data: dict,
+    d: DynkinDiagram, kept: Marks, forgotten: Marks,
+) -> bool:
+    """Pose the subquery (kept, forgotten) on d, record its verdict as one
+    step of the rule, and splice its trace in when it has no section.
+    Whether the subquery admits a section."""
+    result, trace = _classify_marks(d, kept, forgotten)
+    steps.append(TraceStep(rule, anchor, {**data, "verdict": result}))
+    if result != EXISTS:
+        steps.extend(trace)
+    return result == EXISTS
+
+
 def _decide_many_unmarked(
     d: DynkinDiagram, kept: Marks, forgotten: Marks
 ) -> Tuple[str, List[TraceStep]]:
     steps: List[TraceStep] = []
     for j in forgotten:
-        result, trace = _classify_marks(d, kept, (j,))
-        steps.append(
-            TraceStep(
-                "unmark-projection",
-                "A section through the full mark set composes with the projection "
-                "that keeps just one of the forgotten marks, so every one-mark "
-                "subquery must admit a section too.",
-                {"kept": list(kept), "forgotten": j, "verdict": result},
-            )
-        )
-        if result != EXISTS:
-            steps.extend(trace)
+        if not _subquery_step(
+            steps,
+            "unmark-projection",
+            "A section through the full mark set composes with the projection "
+            "that keeps just one of the forgotten marks, so every one-mark "
+            "subquery must admit a section too.",
+            {"kept": list(kept), "forgotten": j},
+            d, kept, (j,),
+        ):
             return NOT_EXISTS, steps
     return _triality_exclusion(
         d, kept, forgotten, steps, "simultaneous one-mark sections outside the triality orbit"
@@ -803,23 +796,15 @@ def _decide_many_marked(d: DynkinDiagram, kept: Marks, j: int) -> Tuple[str, Lis
         comp = component_containing(d, others, j)
         sub = comp.diagram
         own_i, own_j = comp.own_node(i1), comp.own_node(j)
-        result, trace = _classify_marks(sub, (own_i,), (own_j,))
-        steps.append(
-            TraceStep(
-                "fiber-restriction",
-                "Restricting the section to the fibers over the flag of the other "
-                "marks reduces the query to the connected subdiagram spanned by "
-                "the kept component and one chosen mark.",
-                {
-                    "kept_mark": i1,
-                    "subdiagram": str(sub),
-                    "sub_marks": {"I": [own_i], "J": [own_j]},
-                    "verdict": result,
-                },
-            )
-        )
-        if result != EXISTS:
-            steps.extend(trace)
+        if not _subquery_step(
+            steps,
+            "fiber-restriction",
+            "Restricting the section to the fibers over the flag of the other "
+            "marks reduces the query to the connected subdiagram spanned by "
+            "the kept component and one chosen mark.",
+            {"kept_mark": i1, "subdiagram": str(sub), "sub_marks": {"I": [own_i], "J": [own_j]}},
+            sub, (own_i,), (own_j,),
+        ):
             return NOT_EXISTS, steps
         for i2 in others:
             if not _touches(cart, i2, comp.parent_nodes):
@@ -840,23 +825,16 @@ def _decide_interior_mark(d: DynkinDiagram, i: int, j: int) -> Tuple[str, List[T
     outside = frozenset(range(1, d.rank + 1)) - bar.parent_nodes
     comp = component_containing(d, outside - {i}, j)
     own_i, own_j = comp.own_node(i), comp.own_node(j)
-    result, trace = _classify_marks(comp.diagram, (own_i,), (own_j,))
-    steps = [
-        TraceStep(
-            "fiber-restriction",
-            "Restricting to the fibers over the flag of the far side of the kept "
-            "node reduces the query to the connected subdiagram spanned by the "
-            "kept component together with the mark.",
-            {
-                "kept_mark": i,
-                "subdiagram": str(comp.diagram),
-                "sub_marks": {"I": [own_i], "J": [own_j]},
-                "verdict": result,
-            },
-        )
-    ]
-    if result != EXISTS:
-        steps.extend(trace)
+    steps: List[TraceStep] = []
+    if not _subquery_step(
+        steps,
+        "fiber-restriction",
+        "Restricting to the fibers over the flag of the far side of the kept "
+        "node reduces the query to the connected subdiagram spanned by the "
+        "kept component together with the mark.",
+        {"kept_mark": i, "subdiagram": str(comp.diagram), "sub_marks": {"I": [own_i], "J": [own_j]}},
+        comp.diagram, (own_i,), (own_j,),
+    ):
         return NOT_EXISTS, steps
     i2 = min(nb for nb in neighbors(d, i) if nb not in bar.parent_nodes)
     t = restriction_tag(d, comp, i2)

@@ -24,9 +24,9 @@ from operator import add
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .dynkin import DynkinDiagram, MarkedDiagram, marked
+from .dynkin import DynkinDiagram, MarkedDiagram, diagram, marked
 from .errors import InternalInconsistencyError, UnsupportedInputError
-from .exactpoly import GradedPoly, Scalar, UniPoly, _div, coeff_plus
+from .exactpoly import GradedPoly, Scalar, UniPoly, _add_products, _div, coeff_plus
 from .linalg import rank
 
 _CLASSICAL = ("A", "B", "C", "D")
@@ -390,31 +390,10 @@ def _evaluate(rel: GradedPoly, values, width: int, skip=None) -> dict:
                 raise InternalInconsistencyError(f"relation {rel} reaches the unsolved "
                                                  f"generator {rel.gens[i][0]}")
             for _ in range(e):
-                term = _times(term, value)
+                term = _add_products({}, term.items(), value.items())
         for e2, c2 in term.items():
             acc[e2] = get(e2, 0) + c2
     return {e: c for e, c in acc.items() if c}
-
-
-def _times(a: dict, b: dict) -> dict:
-    """Product of two term dicts over one exponent width."""
-    acc: dict = {}
-    get = acc.get
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
-            acc[e] = get(e, 0) + c1 * c2
-    return acc
-
-
-def _project(poly: GradedPoly, reduced_table, keep: Sequence[int]) -> GradedPoly:
-    keep_set = set(keep)
-    terms = {}
-    for expo, c in poly.terms.items():
-        if any(e and i not in keep_set for i, e in enumerate(expo)):
-            raise InternalInconsistencyError("projection dropped a live generator")
-        terms[tuple(expo[i] for i in keep)] = c
-    return GradedPoly(reduced_table, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -424,70 +403,54 @@ def _project(poly: GradedPoly, reduced_table, keep: Sequence[int]) -> GradedPoly
 def degree_ledger(p: GradedPresentation) -> dict:
     """Degree bookkeeping after obvious simplification.
 
-    A generator that appears in some relation as a bare linear term and
-    nowhere else in that relation is redundant: solve and substitute.  This
-    collapses e.g. the projective-space presentations down to the hyperplane
-    class alone.  The ledger reports the surviving degrees; the quantity the
-    classifier cares about is whether every relation degree exceeds every
-    generator degree.
+    A generator that appears in some relation as a bare linear term is
+    redundant: solve and substitute.  This collapses e.g. the
+    projective-space presentations down to the hyperplane class alone.  The
+    ledger reports the surviving degrees; the quantity the classifier cares
+    about is whether every relation degree exceeds every generator degree.
+
+    One pass over the relations, in order, on the presentation's own
+    generator table: each relation is tested for a pivot once, after the
+    pivots before it were substituted in, and each pivot is substituted into
+    every relation.  That is exact for homogeneous relations over
+    positive-degree generators.  A degree-d generator can occur bare only in
+    a degree-d relation, and then nowhere else in it, since any other
+    monomial holding it has a larger degree.  And a relation with no bare
+    linear term never gains one: substituting a value of positive degree
+    into a product of generators leaves a sum of products.  So a relation
+    passed over stays without a pivot, and a later pivot never reopens it.
 
     Only linear pivots are solved, so the ledger keeps relations that the
     others generate: on D_n(n) with n even the degree-2n relation is the
     square of the degree-n one, and `explain D6(6)` lists relations
     [6, 8, 10, 12] where the eliminated target has [6, 8, 10].
     """
-    gens = list(p.generators)
-    rels = list(p.relations)
-    # substituting a generator by a polynomial of its own degree keeps each
-    # relation's degree, so the degrees are carried along, not recomputed
-    degrees = list(p.rel_degrees)
-    changed = True
-    while changed:
-        changed = False
-        for ri, rel in enumerate(rels):
-            hit = _linear_pivot(rel, gens)
-            if hit is None:
-                continue
-            gi, coeff = hit
-            name = gens[gi][0]
-            solo = GradedPoly.generator(rel.gens, name)
-            expr = (rel - solo * coeff) * (Fraction(-1) / coeff)
-            new_rels, new_degrees = [], []
-            for rj, other in enumerate(rels):
-                if rj == ri:
-                    continue
-                other = other.substitute(name, expr)
-                if other.terms:
-                    new_rels.append(other)
-                    new_degrees.append(degrees[rj])
-            old_table = rel.gens
-            del gens[gi]
-            keep = [i for i in range(len(old_table)) if i != gi]
-            table = tuple(gens)
-            rels = [_project(q2, table, keep) for q2 in new_rels]
-            degrees = new_degrees
-            changed = True
-            break
-    gen_degrees = sorted(d for _, d in gens)
-    rel_degrees = sorted(degrees)
+    gens = p.generators
+    units = [tuple(int(i == gi) for i in range(len(gens))) for gi in range(len(gens))]
+    solved = set()
+    # (relation, degree) pairs: substituting a generator by a polynomial of
+    # its own degree keeps each relation's degree, so degrees are carried
+    rels = list(zip(p.relations, p.rel_degrees))
+    for k in range(len(rels)):
+        rel = rels[k][0]
+        gi = next((gi for gi, unit in enumerate(units) if unit in rel.terms), None)
+        if gi is None:
+            continue
+        coeff = rel.terms[units[gi]]
+        name = gens[gi][0]
+        expr = (rel - GradedPoly.generator(gens, name) * coeff) * (Fraction(-1) / coeff)
+        solved.add(gi)
+        # the pivot's own relation becomes exactly 0 here, like any relation
+        # the substitution cancels, and 0 is no relation
+        rels = [(other.substitute(name, expr), d) for other, d in rels]
+    gen_degrees = sorted(d for gi, (_, d) in enumerate(gens) if gi not in solved)
+    rel_degrees = sorted(d for rel, d in rels if rel.terms)
     return {
         "generator_degrees": gen_degrees,
         "relation_degrees": rel_degrees,
         "max_generator_degree": max(gen_degrees) if gen_degrees else 0,
         "min_relation_degree": min(rel_degrees) if rel_degrees else None,
     }
-
-
-def _linear_pivot(rel: GradedPoly, gens) -> Optional[Tuple[int, Scalar]]:
-    """Index and coefficient of a generator occurring only as a bare linear term."""
-    for gi in range(len(gens)):
-        expo = tuple(1 if i == gi else 0 for i in range(len(gens)))
-        c = rel.terms.get(expo)
-        if c is None:
-            continue
-        if all(e[gi] == 0 for e in rel.terms if e != expo):
-            return gi, c
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +538,7 @@ def pullback_product_collapse_check(family: str, n: int, r: int) -> bool:
     top = n - 2 if family == "D" else n - 1
     if not 1 < r <= top:
         raise UnsupportedInputError(f"need 1 < r <= {top} on {family}{n}, got r={r}")
-    v = marked(DynkinDiagram(family, n), {1, r})
+    v = marked(diagram(family, n), {1, r})
     p = presentation(v)
     table = p.generators
     h = GradedPoly.generator(table, "h")

@@ -38,6 +38,8 @@ class DynkinDiagram:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise UnsupportedInputError(f"unknown family {self.family!r}")
+        if self.family == "G2" and self.rank != 2:
+            raise UnsupportedInputError(f"G2 has rank 2, not {self.rank}")
 
     def __str__(self):
         return f"{self.family}{self.rank}" if self.family != "G2" else "G2"

@@ -236,14 +236,7 @@ class UniPoly:
             if not a:
                 continue
             for j, b_terms in right:
-                acc = out[i + j]
-                if acc is None:
-                    acc = out[i + j] = {}
-                get = acc.get
-                for e1, c1 in a.terms.items():
-                    for e2, c2 in b_terms:
-                        expo = tuple(map(add, e1, e2))
-                        acc[expo] = get(expo, 0) + c1 * c2
+                out[i + j] = _add_products(out[i + j] or {}, a.terms.items(), b_terms)
         return UniPoly([0 if acc is None else GradedPoly._make(gens, _cleaned(acc)) for acc in out])
 
     def substitute_neg(self) -> "UniPoly":
@@ -439,12 +432,7 @@ class GradedPoly:
                 self.gens, {e: _normal(v * c) for e, v in self.terms.items()}
             )
         self._check_ring(other)
-        acc = {}
-        get = acc.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(map(add, e1, e2))
-                acc[expo] = get(expo, 0) + c1 * c2
+        acc = _add_products({}, self.terms.items(), other.terms.items())
         return GradedPoly._make(self.gens, _cleaned(acc))
 
     __rmul__ = __mul__
@@ -502,20 +490,14 @@ class GradedPoly:
         """
         self._check_ring(value)
         idx = self.gen_index(name)
-        powers = [None, value]
+        powers = [GradedPoly.const(self.gens, 1), value]
         acc = {}
-        get = acc.get
         for expo, c in self.terms.items():
             k = expo[idx]
-            rest = expo[:idx] + (0,) + expo[idx + 1:]
-            if not k:
-                acc[rest] = get(rest, 0) + c
-                continue
             while len(powers) <= k:
                 powers.append(powers[-1] * value)
-            for e2, c2 in powers[k].terms.items():
-                expo2 = tuple(map(add, rest, e2))
-                acc[expo2] = get(expo2, 0) + c * c2
+            rest = expo[:idx] + (0,) + expo[idx + 1:]
+            _add_products(acc, ((rest, c),), powers[k].terms.items())
         return GradedPoly._make(self.gens, _cleaned(acc))
 
     def monomial_strings(self):
@@ -542,6 +524,19 @@ class GradedPoly:
 
     def to_json(self) -> dict:
         return {mono: str(c) for mono, c in self.monomial_strings()}
+
+
+def _add_products(acc: dict, left, right) -> dict:
+    """Add the product of every term of `left` with every term of `right`
+    into acc, and return acc.  Both are sequences of (exponent tuple,
+    coefficient) pairs over one exponent width; the zeros a sum leaves are
+    kept, for the caller to drop once."""
+    get = acc.get
+    for e1, c1 in left:
+        for e2, c2 in right:
+            expo = tuple(map(add, e1, e2))
+            acc[expo] = get(expo, 0) + c1 * c2
+    return acc
 
 
 def _cleaned(acc: dict) -> dict:

@@ -4,7 +4,7 @@ Each test prints a single pass/fail line (visible with -s or on failure) and
 asserts the check passed, so a red run names the failing behaviour directly.
 """
 
-from flagnest import acceptance
+from flagnest import acceptance, classifier
 
 
 def _run(check):
@@ -50,3 +50,26 @@ def test_check_registry_is_complete():
     names = [check.__name__ for check in acceptance.CHECKS]
     assert len(set(names)) == 8
     assert all(name.startswith("check_") for name in names)
+
+
+def test_singleton_check_judges_closers_by_its_own_list(monkeypatch):
+    """A closer that the classifier was made to accept still fails the
+    check: the check reads the paper's closing rules from its own list."""
+    real = classifier._decide
+    odd_step = classifier.TraceStep("fiber-restriction", "reduction only", {})
+
+    def decide(d, kept, forgotten):
+        result, steps = real(d, kept, forgotten)
+        if (str(d), kept, forgotten) == ("A4", (1,), (2,)):
+            steps = steps + [odd_step]
+        return result, steps
+
+    closers = dict(classifier._CLOSERS)
+    closers[classifier.NOT_EXISTS] = closers[classifier.NOT_EXISTS] | {"fiber-restriction"}
+    monkeypatch.setattr(classifier, "_decide", decide)
+    monkeypatch.setattr(classifier, "_CLOSERS", closers)
+    monkeypatch.setattr(classifier, "_DECISION_CACHE", {})
+    result = acceptance.check_singleton_enumeration()
+    assert not result.passed
+    # the A4 query, its mirror image, and the queries that splice its trace
+    assert "unfinished traces: [('A4', 1, 2, 'fiber-restriction')," in result.detail

@@ -354,17 +354,20 @@ def closing_rules(dec):
 
 
 def test_every_trace_closes_properly():
+    # single marks and the multi-mark queries of all-subsets enumeration, so
+    # the subquery and curve-tag steps are covered; a TraceStep does not
+    # check its own strings, so every step's rule and anchor are checked here
     for fam, lo in (("A", 2), ("B", 2), ("C", 3), ("D", 4)):
         for n in range(lo, 7):
             d = diagram(fam, n)
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    if i == j:
-                        continue
-                    dec = classify(NestingQuery(d, frozenset([i]), frozenset([j])))
-                    assert dec.trace[-1].rule in closing_rules(dec)
-                    for step in dec.trace:
-                        assert step.anchor.strip()
+            pairs = list(classifier._mark_pairs(d, "singletons"))
+            pairs += list(classifier._mark_pairs(d, "all-subsets"))
+            for kept, forgotten in pairs:
+                dec = classify(NestingQuery(d, frozenset(kept), frozenset(forgotten)))
+                assert dec.trace[-1].rule in closing_rules(dec)
+                for step in dec.trace:
+                    assert step.rule.strip()
+                    assert step.anchor.strip()
 
 
 def test_decisions_are_equivariant_and_deterministic():
@@ -392,8 +395,16 @@ def test_decision_json_shape():
 
 
 def test_every_decision_path_enforces_closers(monkeypatch):
-    step = TraceStep("fiber-restriction", "reduction only", {})
-    for result in (EXISTS, NOT_EXISTS):
+    # a reduction closes nothing; a construction cannot close a negative
+    # decision, nor a computation a positive one; and a result must be known
+    for result, rule in (
+        (EXISTS, "fiber-restriction"),
+        (NOT_EXISTS, "fiber-restriction"),
+        (NOT_EXISTS, "explicit-section"),
+        (EXISTS, "chern-factorization"),
+        ("maybe", "explicit-section"),
+    ):
+        step = TraceStep(rule, "closer under test", {})
         monkeypatch.setattr(classifier, "_decide", lambda d, kept, forgotten: (result, [step]))
         monkeypatch.setattr(classifier, "_DECISION_CACHE", {})
         with pytest.raises(InternalInconsistencyError, match="must close"):

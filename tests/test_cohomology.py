@@ -311,6 +311,55 @@ def test_degree_ledger_simplifies_linear_generators():
     assert led_d["min_relation_degree"] == 6
 
 
+# (family, rank, marks, generator degrees, relation degrees): one variety of
+# each presentation shape ({1}, {n}, {1, r}, {r, n}) per family at two ranks,
+# taken from the ledger that restarted its scan after every pivot
+LEDGER_PINS = [
+    ("A", 5, (1,), [1], [6]),
+    ("A", 5, (1, 3), [1, 1, 2], [4, 5, 6]),
+    ("A", 8, (1,), [1], [9]),
+    ("A", 8, (1, 3), [1, 1, 2], [7, 8, 9]),
+    ("B", 5, (1,), [1], [10]),
+    ("B", 5, (5,), [1, 3, 5], [6, 8, 10]),
+    ("B", 5, (1, 3), [1, 1, 2], [6, 8, 10]),
+    ("B", 5, (3, 5), [1, 1, 2, 3], [4, 6, 8, 10]),
+    ("B", 8, (1,), [1], [16]),
+    ("B", 8, (8,), [1, 3, 5, 7], [10, 12, 14, 16]),
+    ("B", 8, (1, 3), [1, 1, 2], [12, 14, 16]),
+    ("B", 8, (3, 8), [1, 1, 2, 3, 3, 5], [6, 8, 10, 12, 14, 16]),
+    ("C", 5, (1,), [1], [10]),
+    ("C", 5, (5,), [1, 3, 5], [6, 8, 10]),
+    ("C", 5, (1, 3), [1, 1, 2], [6, 8, 10]),
+    ("C", 5, (3, 5), [1, 1, 2, 3], [4, 6, 8, 10]),
+    ("C", 8, (1,), [1], [16]),
+    ("C", 8, (8,), [1, 3, 5, 7], [10, 12, 14, 16]),
+    ("C", 8, (1, 3), [1, 1, 2], [12, 14, 16]),
+    ("C", 8, (3, 8), [1, 1, 2, 3, 3, 5], [6, 8, 10, 12, 14, 16]),
+    ("D", 5, (1,), [1, 4], [5, 9]),
+    ("D", 5, (5,), [1, 3], [6, 8]),
+    ("D", 5, (1, 3), [1, 1, 2, 2], [5, 6, 8, 10]),
+    ("D", 5, (3, 5), [1, 1, 2, 3], [4, 5, 6, 8, 10]),
+    ("D", 8, (1,), [1, 7], [8, 15]),
+    ("D", 8, (8,), [1, 3, 5, 7], [8, 10, 12, 14, 16]),
+    ("D", 8, (1, 3), [1, 1, 2, 5], [8, 12, 14, 16]),
+    ("D", 8, (3, 8), [1, 1, 2, 3, 3, 5], [6, 8, 8, 10, 12, 14, 16]),
+]
+
+
+@pytest.mark.parametrize(
+    "family,n,marks,gens,rels",
+    LEDGER_PINS,
+    ids=[f"{f}{n}{m}".replace(" ", "") for f, n, m, _, _ in LEDGER_PINS],
+)
+def test_degree_ledger_is_pinned_on_every_shape(family, n, marks, gens, rels):
+    assert degree_ledger(pres(family, n, set(marks))) == {
+        "generator_degrees": gens,
+        "relation_degrees": rels,
+        "max_generator_degree": max(gens),
+        "min_relation_degree": min(rels),
+    }
+
+
 def test_degree_ledger_eliminated_spinor():
     led = degree_ledger(eliminate_even_generators(pres("B", 5, {5})))
     assert led["max_generator_degree"] == 5

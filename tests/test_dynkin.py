@@ -54,6 +54,15 @@ def test_low_rank_normalizations():
         diagram("A", 0)
 
 
+def test_g2_has_rank_two_only():
+    g2 = dynkin.DynkinDiagram("G2", 2)
+    assert g2 == diagram("G2", 2)
+    assert variety_dimension(marked(g2, [1])) == 5
+    for rank in (1, 3):
+        with pytest.raises(UnsupportedInputError, match=f"G2 has rank 2, not {rank}"):
+            dynkin.DynkinDiagram("G2", rank)
+
+
 def test_ranks_above_the_supported_bound_are_rejected():
     top = dynkin.MAX_RANK
     for fam in ("A", "B", "C", "D"):

@@ -1,6 +1,8 @@
 """Source hygiene of the package: no dead definitions, public or private, no
-unused imports, no unread parameters, no hand-rolled memo tables, and no
-module but the CLI importing the acceptance oracles.
+unused imports, no unread parameters, no hand-rolled memo tables, no
+module but the CLI importing the acceptance oracles, and those oracles
+taking from the classifier only the query type, its two entry points
+and the canonical marks.
 
 A module-level function or class, or a method in a class body, that nothing
 in the package refers to is code no decision, CLI verb or self-check
@@ -147,3 +149,16 @@ def test_only_the_cli_imports_the_acceptance_checks():
             if any("acceptance" in path.split(".") for path in paths):
                 importers.add(mod)
     assert sorted(importers) == ["cli"]
+
+
+def test_acceptance_reads_only_the_classifier_entry_points():
+    """The oracles stay independent of the code they check: `acceptance`
+    takes from `classifier` the query, its two entry points and the
+    canonical marks, never a rule table or a cascade step."""
+    imported = set()
+    for node in ast.walk(_modules()["acceptance"]):
+        if isinstance(node, ast.ImportFrom) and node.module == "classifier":
+            imported |= {alias.name for alias in node.names}
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.endswith("classifier") for alias in node.names)
+    assert imported == {"NestingQuery", "classify", "enumerate_nestings", "_canonical_marks"}
