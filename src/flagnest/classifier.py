@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from types import MappingProxyType
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
 
 from .chern import chern_from_poly, factor_unit_minus_tk, schwarzenberger_s33
 from .cohomology import (
@@ -38,6 +38,7 @@ from .dynkin import (
     marked,
     neighbors,
     nontrivial_automorphisms,
+    require_stored,
     restriction_tag,
     variety_dimension,
 )
@@ -136,11 +137,7 @@ class NestingQuery:
 
     def __post_init__(self):
         d = self.diagram
-        norm = diagram(d.family, d.rank)
-        if norm != d:
-            raise UnsupportedInputError(
-                f"{d} is stored as {norm}; pose the query on {norm} so the node labels are unambiguous"
-            )
+        require_stored(d, "pose the query on")
         for node in (*self.I, *self.J):
             if isinstance(node, bool) or not isinstance(node, int):
                 raise UnsupportedInputError(f"node {node!r} is not an integer")
@@ -553,7 +550,7 @@ def obstruct_last_node(family: str, n: int, r: int) -> ObstructionOutcome:
 
 Pair = Tuple[str, Tuple[TraceStep, ...]]
 
-# (result, trace) pairs keyed like NestingQuery.key()
+# classify()'s one-mark (result, trace) pairs, keyed like NestingQuery.key()
 _DECISION_CACHE: Dict[tuple, Pair] = {}
 
 
@@ -574,17 +571,105 @@ def _canonical_marks(
     return best, best_sigma
 
 
+class _Traces:
+    """The decision store classify() runs the cascade against: every trace
+    step is built in full, and one-mark decisions are kept in
+    _DECISION_CACHE as (result, trace) pairs.
+
+    The cascade writes each case once against a store, this one or
+    _Verdicts.  step() adds one applied rule; its data is a function
+    returning the numbers the rule used, called only where traces are kept.
+    extend() adds the steps of an obstruction outcome, splice() what the
+    store keeps of a subquery's trace, closing() names the rule that closes
+    finished steps, and pair() turns them into the pair the store keeps."""
+
+    def __init__(self):
+        self.pairs = _DECISION_CACHE
+
+    @staticmethod
+    def step(steps: list, rule: str, anchor: str, data: Callable[[], dict]) -> None:
+        steps.append(TraceStep(rule, anchor, data()))
+
+    @staticmethod
+    def extend(steps: list, trace: Tuple[TraceStep, ...]) -> None:
+        steps.extend(trace)
+
+    splice = extend
+
+    @staticmethod
+    def closing(steps: list) -> str:
+        return steps[-1].rule
+
+    @staticmethod
+    def pair(result: str, steps: list) -> Pair:
+        return result, tuple(steps)
+
+    @staticmethod
+    def decided(d: DynkinDiagram, kept: Marks, forgotten: Marks) -> Pair:
+        """The pair of a cascade subquery on d.  A pair decided before is one
+        lookup; otherwise the subquery is posed to classify() as a validated
+        NestingQuery."""
+        pair = _DECISION_CACHE.get((d.family, d.rank, kept, forgotten))
+        if pair is None:
+            decision = classify(NestingQuery(d, frozenset(kept), frozenset(forgotten)))
+            pair = (decision.result, decision.trace)
+        return pair
+
+
+class _Verdicts:
+    """The decision store of one enumerate_nestings() call: of every step it
+    keeps the rule alone, so no step or step data is built, and it keeps
+    one-mark decisions as (result, closing rule) pairs.  The closing rule is
+    all the closer check reads.  A subquery it has not decided is looked up
+    among classify()'s decisions and, failing that, posed to classify()."""
+
+    def __init__(self):
+        self.pairs: Dict[tuple, Tuple[str, str]] = {}
+
+    @staticmethod
+    def step(steps: list, rule: str, _anchor: str, _data: Callable[[], dict]) -> None:
+        steps.append(rule)
+
+    @staticmethod
+    def extend(steps: list, trace: Tuple[TraceStep, ...]) -> None:
+        steps.extend(step.rule for step in trace)
+
+    @staticmethod
+    def splice(steps: list, rule: str) -> None:
+        steps.append(rule)
+
+    @staticmethod
+    def closing(steps: list) -> str:
+        return steps[-1]
+
+    @staticmethod
+    def pair(result: str, steps: list) -> Tuple[str, str]:
+        return result, steps[-1]
+
+    def decided(self, d: DynkinDiagram, kept: Marks, forgotten: Marks) -> Tuple[str, str]:
+        pair = self.pairs.get((d.family, d.rank, kept, forgotten))
+        if pair is None:
+            result, trace = _Traces.decided(d, kept, forgotten)
+            pair = (result, trace[-1].rule)
+        return pair
+
+
+_Store = Union[_Traces, _Verdicts]
+
+
 def classify(query: NestingQuery) -> NestingDecision:
     """Decide whether the forgetful projection of the query admits a section.
 
     The query is validated where it is built; the cascade decides its sorted
-    mark tuples.  Only decisions that forget exactly one mark are memoized,
-    as (result, trace) pairs, since those are the subqueries the cascade
-    reads back.  Each is stored under its canonical marks and, when a
-    symmetry relabels the query, under the marks as posed too, so a repeated
-    one-mark query is one lookup.  A query that forgets more marks is decided
-    afresh each time it is asked: enumeration decides each class once, and a
-    CLI call asks one query."""
+    mark tuples and builds the full trace.  Only decisions that forget
+    exactly one mark are memoized, in _DECISION_CACHE as (result, trace)
+    pairs, since those are the subqueries the cascade reads back.  Each is
+    stored under its canonical marks and, when a symmetry relabels the
+    query, under the marks as posed too, so a repeated one-mark query is one
+    lookup.  A query that forgets more marks is decided afresh each time it
+    is asked: a CLI call asks one query.  enumerate_nestings() keeps its own
+    decisions apart, so a trace does not depend on what was enumerated
+    before."""
     _, _, kept, forgotten = query.key()
     return NestingDecision(query, *_decision(query.diagram, kept, forgotten))
 
@@ -596,7 +681,7 @@ def _decision(d: DynkinDiagram, kept: Marks, forgotten: Marks) -> Pair:
     if pair is not None:
         return pair
     (canon_i, canon_j), sigma = _canonical_marks(d, kept, forgotten)
-    result, trace = _canonical_decision(d, canon_i, canon_j)
+    result, trace = _canonical_decision(_Traces(), d, canon_i, canon_j)
     if sigma is None:
         return result, trace
     step = TraceStep(
@@ -615,103 +700,95 @@ def _decision(d: DynkinDiagram, kept: Marks, forgotten: Marks) -> Pair:
     return pair
 
 
-def _canonical_decision(d: DynkinDiagram, kept: Marks, forgotten: Marks) -> Pair:
-    """_decision() of canonical marks.  Every decision is made here, and
-    here its trace is checked to close properly: a positive one on a
-    construction, a negative one on a computation or a recorded fact."""
+def _canonical_decision(store: _Store, d: DynkinDiagram, kept: Marks, forgotten: Marks) -> tuple:
+    """The store's pair of the query on d with canonical marks.  Every
+    decision is made here, and here its closing rule is checked: a positive
+    decision closes on a construction, a negative one on a computation or a
+    recorded fact."""
     key = (d.family, d.rank, kept, forgotten)
-    pair = _DECISION_CACHE.get(key)
+    pair = store.pairs.get(key)
     if pair is not None:
         return pair
-    result, steps = _decide(d, kept, forgotten)
+    result, steps = _decide(store, d, kept, forgotten)
     if not steps:
         raise InternalInconsistencyError("decision without a trace")
-    if steps[-1].rule not in _CLOSERS.get(result, ()):
+    closing = store.closing(steps)
+    if closing not in _CLOSERS.get(result, ()):
         raise InternalInconsistencyError(
-            f"a {result!r} decision must close on a rule of _CLOSERS, got {steps[-1].rule!r}"
+            f"a {result!r} decision must close on a rule of _CLOSERS, got {closing!r}"
         )
-    pair = (result, tuple(steps))
+    pair = store.pair(result, steps)
     if len(forgotten) == 1:
-        _DECISION_CACHE[key] = pair
+        store.pairs[key] = pair
     return pair
 
 
-def _classify_marks(d: DynkinDiagram, kept: Marks, forgotten: Marks) -> Pair:
-    """The (result, trace) pair of a cascade subquery on d.  A pair decided
-    before is one lookup; otherwise the subquery is posed to classify() as a
-    validated NestingQuery."""
-    pair = _DECISION_CACHE.get((d.family, d.rank, kept, forgotten))
-    if pair is None:
-        decision = classify(NestingQuery(d, frozenset(kept), frozenset(forgotten)))
-        pair = (decision.result, decision.trace)
-    return pair
-
-
-def _decide(d: DynkinDiagram, kept: Marks, forgotten: Marks) -> Tuple[str, List[TraceStep]]:
+def _decide(store: _Store, d: DynkinDiagram, kept: Marks, forgotten: Marks) -> Tuple[str, list]:
     if d.family == "G2":
-        return NOT_EXISTS, [
-            TraceStep("exceptional-rank-two", _G2_ANCHOR, {"diagram": str(d)})
-        ]
+        steps: list = []
+        store.step(steps, "exceptional-rank-two", _G2_ANCHOR, lambda: {"diagram": str(d)})
+        return NOT_EXISTS, steps
     if d.family not in ("A", "B", "C", "D"):
         raise UnsupportedInputError(f"unsupported diagram {d}")
     if len(forgotten) > 1:
-        return _decide_many_unmarked(d, kept, forgotten)
+        return _decide_many_unmarked(store, d, kept, forgotten)
     j = forgotten[0]
     if len(kept) > 1:
-        return _decide_many_marked(d, kept, j)
+        return _decide_many_marked(store, d, kept, j)
     i = kept[0]
     if len(neighbors(d, i)) > 1:
-        return _decide_interior_mark(d, i, j)
-    return _decide_extremal(d, i, j)
+        return _decide_interior_mark(store, d, i, j)
+    return _decide_extremal(store, d, i, j)
 
 
 def _subquery_step(
-    steps: List[TraceStep], rule: str, anchor: str, data: dict,
+    store: _Store, steps: list, rule: str, anchor: str, data: Callable[[], dict],
     d: DynkinDiagram, kept: Marks, forgotten: Marks,
 ) -> bool:
     """Pose the subquery (kept, forgotten) on d, record its verdict as one
-    step of the rule, and splice its trace in when it has no section.
-    Whether the subquery admits a section."""
-    result, trace = _classify_marks(d, kept, forgotten)
-    steps.append(TraceStep(rule, anchor, {**data, "verdict": result}))
+    step of the rule, and splice in what the store keeps of its trace when
+    it has no section.  Whether the subquery admits a section."""
+    result, sub_trace = store.decided(d, kept, forgotten)
+    store.step(steps, rule, anchor, lambda: {**data(), "verdict": result})
     if result != EXISTS:
-        steps.extend(trace)
+        store.splice(steps, sub_trace)
     return result == EXISTS
 
 
 def _decide_many_unmarked(
-    d: DynkinDiagram, kept: Marks, forgotten: Marks
-) -> Tuple[str, List[TraceStep]]:
-    steps: List[TraceStep] = []
+    store: _Store, d: DynkinDiagram, kept: Marks, forgotten: Marks
+) -> Tuple[str, list]:
+    steps: list = []
     for j in forgotten:
         if not _subquery_step(
+            store,
             steps,
             "unmark-projection",
             "A section through the full mark set composes with the projection "
             "that keeps just one of the forgotten marks, so every one-mark "
             "subquery must admit a section too.",
-            {"kept": list(kept), "forgotten": j},
+            lambda: {"kept": list(kept), "forgotten": j},
             d, kept, (j,),
         ):
             return NOT_EXISTS, steps
     return _triality_exclusion(
-        d, kept, forgotten, steps, "simultaneous one-mark sections outside the triality orbit"
+        store, d, kept, forgotten, steps,
+        "simultaneous one-mark sections outside the triality orbit",
     )
 
 
 def _triality_exclusion(
-    d: DynkinDiagram, kept: Marks, forgotten: Marks, steps: List[TraceStep], unexpected: str
-) -> Tuple[str, List[TraceStep]]:
+    store: _Store, d: DynkinDiagram, kept: Marks, forgotten: Marks, steps: list, unexpected: str
+) -> Tuple[str, list]:
     """Close a query that every restriction left open: only the triality
     orbit on D4 may get here, and a recorded fact excludes it."""
     if not (d.family == "D" and d.rank == 4 and sorted(kept + forgotten) == [1, 3, 4]):
         raise InternalInconsistencyError(unexpected)
-    steps.append(
-        TraceStep(
-            "triality-exclusion",
-            _TRIALITY_ANCHOR,
-            {"diagram": str(d), "I": list(kept), "J": list(forgotten)},
-        )
+    store.step(
+        steps,
+        "triality-exclusion",
+        _TRIALITY_ANCHOR,
+        lambda: {"diagram": str(d), "I": list(kept), "J": list(forgotten)},
     )
     return NOT_EXISTS, steps
 
@@ -784,9 +861,9 @@ _CURVE_TAG_ANCHOR = (
 )
 
 
-def _decide_many_marked(d: DynkinDiagram, kept: Marks, j: int) -> Tuple[str, List[TraceStep]]:
+def _decide_many_marked(store: _Store, d: DynkinDiagram, kept: Marks, j: int) -> Tuple[str, list]:
     cart = cartan_matrix(d)
-    steps: List[TraceStep] = []
+    steps: list = []
     home = component_containing(d, kept, j)
     anchors = [i1 for i1 in kept if _touches(cart, i1, home.parent_nodes)]
     if not anchors:
@@ -797,12 +874,15 @@ def _decide_many_marked(d: DynkinDiagram, kept: Marks, j: int) -> Tuple[str, Lis
         sub = comp.diagram
         own_i, own_j = comp.own_node(i1), comp.own_node(j)
         if not _subquery_step(
+            store,
             steps,
             "fiber-restriction",
             "Restricting the section to the fibers over the flag of the other "
             "marks reduces the query to the connected subdiagram spanned by "
             "the kept component and one chosen mark.",
-            {"kept_mark": i1, "subdiagram": str(sub), "sub_marks": {"I": [own_i], "J": [own_j]}},
+            lambda: {
+                "kept_mark": i1, "subdiagram": str(sub), "sub_marks": {"I": [own_i], "J": [own_j]}
+            },
             sub, (own_i,), (own_j,),
         ):
             return NOT_EXISTS, steps
@@ -811,36 +891,43 @@ def _decide_many_marked(d: DynkinDiagram, kept: Marks, j: int) -> Tuple[str, Lis
                 continue
             t = restriction_tag(d, comp, i2)
             blocked, data = _curve_tag_blocks(sub, own_i, own_j, t)
-            data.update({"kept_mark": i1, "curve_mark": i2})
-            steps.append(TraceStep("rational-curve-tag", _CURVE_TAG_ANCHOR, data))
+            store.step(
+                steps, "rational-curve-tag", _CURVE_TAG_ANCHOR,
+                lambda: {**data, "kept_mark": i1, "curve_mark": i2},
+            )
             if blocked:
                 return NOT_EXISTS, steps
     return _triality_exclusion(
-        d, kept, (j,), steps, "tag symmetry survived outside the triality orbit"
+        store, d, kept, (j,), steps, "tag symmetry survived outside the triality orbit"
     )
 
 
-def _decide_interior_mark(d: DynkinDiagram, i: int, j: int) -> Tuple[str, List[TraceStep]]:
+def _decide_interior_mark(store: _Store, d: DynkinDiagram, i: int, j: int) -> Tuple[str, list]:
     bar = component_containing(d, {i}, j)
     outside = frozenset(range(1, d.rank + 1)) - bar.parent_nodes
     comp = component_containing(d, outside - {i}, j)
     own_i, own_j = comp.own_node(i), comp.own_node(j)
-    steps: List[TraceStep] = []
+    steps: list = []
     if not _subquery_step(
+        store,
         steps,
         "fiber-restriction",
         "Restricting to the fibers over the flag of the far side of the kept "
         "node reduces the query to the connected subdiagram spanned by the "
         "kept component together with the mark.",
-        {"kept_mark": i, "subdiagram": str(comp.diagram), "sub_marks": {"I": [own_i], "J": [own_j]}},
+        lambda: {
+            "kept_mark": i, "subdiagram": str(comp.diagram), "sub_marks": {"I": [own_i], "J": [own_j]}
+        },
         comp.diagram, (own_i,), (own_j,),
     ):
         return NOT_EXISTS, steps
     i2 = min(nb for nb in neighbors(d, i) if nb not in bar.parent_nodes)
     t = restriction_tag(d, comp, i2)
     blocked, data = _curve_tag_blocks(comp.diagram, own_i, own_j, t)
-    data.update({"kept_mark": i, "curve_mark": i2})
-    steps.append(TraceStep("rational-curve-tag", _CURVE_TAG_ANCHOR, data))
+    store.step(
+        steps, "rational-curve-tag", _CURVE_TAG_ANCHOR,
+        lambda: {**data, "kept_mark": i, "curve_mark": i2},
+    )
     if not blocked:
         raise InternalInconsistencyError("an interior mark produced a fiber-constant tag")
     return NOT_EXISTS, steps
@@ -858,9 +945,9 @@ def _positive_label(d: DynkinDiagram, i: int, j: int) -> Optional[str]:
     return label
 
 
-def _decide_extremal(d: DynkinDiagram, i: int, j: int) -> Tuple[str, List[TraceStep]]:
+def _decide_extremal(store: _Store, d: DynkinDiagram, i: int, j: int) -> Tuple[str, list]:
     n = d.rank
-    steps: List[TraceStep] = []
+    steps: list = []
     if d.family == "A" or i == 1:
         if i != 1:
             raise InternalInconsistencyError("canonical extremal queries keep the first node")
@@ -873,13 +960,12 @@ def _decide_extremal(d: DynkinDiagram, i: int, j: int) -> Tuple[str, List[TraceS
         if i != n - 1:
             raise InternalInconsistencyError("canonical extremal D queries use node 1 or n-1")
         jj = n - 1 if j == n else j
-        steps.append(
-            TraceStep(
-                "diagram-symmetry",
-                "The symmetry exchanging the two fork nodes moves the kept mark "
-                "onto the last node without changing existence.",
-                {"from": {"I": [i], "J": [j]}, "to": {"I": [n], "J": [jj]}},
-            )
+        store.step(
+            steps,
+            "diagram-symmetry",
+            "The symmetry exchanging the two fork nodes moves the kept mark "
+            "onto the last node without changing existence.",
+            lambda: {"from": {"I": [i], "J": [j]}, "to": {"I": [n], "J": [jj]}},
         )
         outcome = obstruct_last_node("D", n, jj)
     label = _positive_label(d, i, j)
@@ -887,19 +973,18 @@ def _decide_extremal(d: DynkinDiagram, i: int, j: int) -> Tuple[str, List[TraceS
         raise InternalInconsistencyError(
             f"obstruction pipeline and construction list disagree on {(d.family, n, (i,), (j,))}"
         )
-    steps.extend(outcome.steps)
+    store.extend(steps, outcome.steps)
     if label is None:
         return NOT_EXISTS, steps
-    steps.append(
-        TraceStep(
-            "explicit-section",
-            "An explicit section exists; the named construction builds it and is "
-            "checked in exact arithmetic by seeded trials.",
-            {
-                "construction": label,
-                "surviving_pairs": [[str(pe), str(pf)] for pe, pf in outcome.survivors],
-            },
-        )
+    store.step(
+        steps,
+        "explicit-section",
+        "An explicit section exists; the named construction builds it and is "
+        "checked in exact arithmetic by seeded trials.",
+        lambda: {
+            "construction": label,
+            "surviving_pairs": [[str(pe), str(pf)] for pe, pf in outcome.survivors],
+        },
     )
     return EXISTS, steps
 
@@ -937,19 +1022,30 @@ def enumerate_nestings(max_rank: int, mode: str = "singletons") -> dict:
     mode 'singletons' takes all ordered pairs of single nodes; 'all-subsets'
     every disjoint pair of mark sets spanning at most four nodes.  Queries
     equivalent under a diagram symmetry are classified once, under their
-    canonical labels.  Each orbit is decided straight from its canonical
-    mark tuples, on a diagram built by diagram() with marks drawn from its
-    nodes, so no NestingQuery is built for it; only a cascade subquery that
-    is not decided yet is posed to classify() as one.
+    canonical labels: a mark pair is decided only when it is its own
+    canonical form, straight from its mark tuples, on a diagram built by
+    diagram() with marks drawn from its nodes, so no NestingQuery is built
+    for it.
+
+    Only the result of each decision is read here, so the cascade runs
+    against a verdict store local to the call (_Verdicts): it builds no
+    trace step and keeps one-mark decisions as (result, closing rule)
+    pairs.  Every decision still runs its obstructions, its cross-check
+    against the positive list and the closer check on its closing rule.  A
+    cascade subquery that neither this store nor classify()'s cache has
+    decided is posed to classify() as a validated NestingQuery, which keeps
+    its full trace in _DECISION_CACHE.
 
     After each diagram the cyclic collector runs once and then every object
     alive in the process, not only this module's, is frozen (gc.freeze), so
     later collections skip it.  That is safe here: what survives a finished
-    diagram is almost all memoized decision pairs and module state, which
-    live until exit anyway.  Frozen objects are still freed by reference
-    counting; only a frozen object that later becomes part of an unreachable
-    cycle stays until exit.  Without the freeze every full collection walks
-    all cached decisions again and frees nothing.
+    diagram is the verdict store, the few traced decisions of posed
+    subqueries, the functools memos of the diagram combinatorics and
+    kernels, and module state.  All but the verdict store live until exit
+    anyway, and the store is freed by reference counting when the call
+    returns: frozen objects still are, and only a frozen object that later
+    becomes part of an unreachable cycle stays until exit.  Without the
+    freeze every full collection walks those memos again and frees nothing.
     """
     if max_rank < 3:
         raise UnsupportedInputError("enumeration needs rank at least 3")
@@ -959,18 +1055,16 @@ def enumerate_nestings(max_rank: int, mode: str = "singletons") -> dict:
     for fam, lo in (("A", 2), ("B", 2), ("C", 3), ("D", 4)):
         for n in range(lo, max_rank + 1):
             diagrams.append(diagram(fam, n))
+    store = _Verdicts()
     exists_rows = []
     total = 0
     for d in diagrams:
-        seen = set()  # canonical mark pairs of d; no two diagrams share a query
         for kept, forgotten in _mark_pairs(d, mode):
-            marks, _ = _canonical_marks(d, kept, forgotten)
-            if marks in seen:
-                continue
-            seen.add(marks)
+            if _canonical_marks(d, kept, forgotten)[1] is not None:
+                continue  # decided under its canonical marks, which d also yields
             total += 1
-            if _canonical_decision(d, *marks)[0] == EXISTS:
-                exists_rows.append(_query_row(d, *marks))
+            if _canonical_decision(store, d, kept, forgotten)[0] == EXISTS:
+                exists_rows.append(_query_row(d, kept, forgotten))
         gc.collect()
         gc.freeze()
     exists_rows.sort(

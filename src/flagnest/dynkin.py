@@ -40,6 +40,8 @@ class DynkinDiagram:
             raise UnsupportedInputError(f"unknown family {self.family!r}")
         if self.family == "G2" and self.rank != 2:
             raise UnsupportedInputError(f"G2 has rank 2, not {self.rank}")
+        if not 1 <= self.rank <= MAX_RANK:
+            raise UnsupportedInputError(f"rank {self.rank} outside the supported 1..{MAX_RANK}")
 
     def __str__(self):
         return f"{self.family}{self.rank}" if self.family != "G2" else "G2"
@@ -103,11 +105,22 @@ def parse_diagram(text: str) -> DynkinDiagram:
     if rank is None:
         raise UnsupportedInputError(f"missing rank in {text!r}")
     d = diagram(fam, int(rank))
-    if d.family != fam:
-        raise UnsupportedInputError(
-            f"{fam}{int(rank)} is stored as {d}; write {d} so the node labels are unambiguous"
-        )
+    require_stored(DynkinDiagram(fam, int(rank)), "write")
     return d
+
+
+def require_stored(d: DynkinDiagram, instead: str) -> None:
+    """Refuse a diagram that diagram() would store under another name: C2 is
+    stored as B2 and D3 as A3, with other node labels, and B1, C1, D1 and D2
+    are not stored at all.  The message names the stored diagram and says
+    what to do `instead` with it.  Only ranks below 4 are looked at, so the
+    check is constant time."""
+    if d.family in ("B", "C", "D") and d.rank < 4:
+        stored = diagram(d.family, d.rank)  # refuses B1, C1, D1 and D2 itself
+        if stored != d:
+            raise UnsupportedInputError(
+                f"{d} is stored as {stored}; {instead} {stored} so the node labels are unambiguous"
+            )
 
 
 @dataclass(frozen=True)
@@ -116,6 +129,7 @@ class MarkedDiagram:
     marked: FrozenSet[int]
 
     def __post_init__(self):
+        require_stored(self.diagram, "mark")
         object.__setattr__(self, "marked", frozenset(self.marked))
         bad = [i for i in self.marked if i not in self.diagram.nodes]
         if bad:

@@ -56,12 +56,11 @@ def test_singleton_check_judges_closers_by_its_own_list(monkeypatch):
     """A closer that the classifier was made to accept still fails the
     check: the check reads the paper's closing rules from its own list."""
     real = classifier._decide
-    odd_step = classifier.TraceStep("fiber-restriction", "reduction only", {})
 
-    def decide(d, kept, forgotten):
-        result, steps = real(d, kept, forgotten)
+    def decide(store, d, kept, forgotten):
+        result, steps = real(store, d, kept, forgotten)
         if (str(d), kept, forgotten) == ("A4", (1,), (2,)):
-            steps = steps + [odd_step]
+            store.step(steps, "fiber-restriction", "reduction only", dict)
         return result, steps
 
     closers = dict(classifier._CLOSERS)

@@ -404,8 +404,13 @@ def test_every_decision_path_enforces_closers(monkeypatch):
         (EXISTS, "chern-factorization"),
         ("maybe", "explicit-section"),
     ):
-        step = TraceStep(rule, "closer under test", {})
-        monkeypatch.setattr(classifier, "_decide", lambda d, kept, forgotten: (result, [step]))
+
+        def decide(store, d, kept, forgotten):
+            steps = []
+            store.step(steps, rule, "closer under test", dict)
+            return result, steps
+
+        monkeypatch.setattr(classifier, "_decide", decide)
         monkeypatch.setattr(classifier, "_DECISION_CACHE", {})
         with pytest.raises(InternalInconsistencyError, match="must close"):
             classify(query("A", 3, [1], [3]))
@@ -542,10 +547,36 @@ def test_enumeration_caches_only_one_mark_decisions_and_freezes_them():
     assert gc.isenabled() == enabled
     cache = classifier._DECISION_CACHE
     assert cache and all(len(forgotten) == 1 for _, _, _, forgotten in cache)
+    # enumeration keeps its verdicts in a store of its own: classify() caches
+    # only the subqueries posed to it, a tenth of the 3 369 one-mark entries
+    # left when enumeration kept every one-mark trace there
+    assert len(cache) <= 336
     assert gc.get_freeze_count() >= len(cache)
     # frozen objects sit in the permanent generation, which get_objects skips
     collected = {id(obj) for obj in gc.get_objects()}
     assert not any(id(dec) in collected for dec in cache.values())
+
+
+@pytest.mark.parametrize("max_rank,mode", [(8, "all-subsets"), (12, "singletons")])
+def test_enumeration_verdicts_are_what_classify_traces_close_on(monkeypatch, max_rank, mode):
+    # enumeration keeps (result, closing rule) per class and builds no
+    # trace; each pair must be classify()'s result and last traced rule
+    verdicts = {}
+    decide = classifier._canonical_decision
+
+    def recording(store, d, kept, forgotten):
+        pair = decide(store, d, kept, forgotten)
+        if isinstance(store, classifier._Verdicts):
+            verdicts[d, kept, forgotten] = pair
+        return pair
+
+    monkeypatch.setattr(classifier, "_canonical_decision", recording)
+    rep = enumerate_nestings(max_rank, mode)
+    assert len(verdicts) == rep["classified"]
+    monkeypatch.setattr(classifier, "_DECISION_CACHE", {})
+    for (d, kept, forgotten), pair in verdicts.items():
+        decision = classify(NestingQuery(d, frozenset(kept), frozenset(forgotten)))
+        assert pair == (decision.result, decision.trace[-1].rule)
 
 
 def test_enumeration_validates_only_the_queries_it_poses(monkeypatch):

@@ -3,11 +3,12 @@ import os
 import resource
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from flagnest import cli
+from flagnest import classifier, cli
 from flagnest.acceptance import CheckResult
 from flagnest.constructions import TrialReport
 from flagnest.errors import InternalInconsistencyError
@@ -333,3 +334,34 @@ def test_help_and_version_exit_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
     assert cli.main(["--version"]) == 0
+
+
+def _all_subsets_outputs(max_rank):
+    """classify JSON and --trace text of every all-subsets query up to
+    max_rank, from one parser: building it is most of a main() call."""
+    parser = cli._build_parser()
+    outputs = []
+    for fam, lo in (("A", 2), ("B", 2), ("C", 3), ("D", 4)):
+        for n in range(lo, max_rank + 1):
+            for size in range(2, min(4, n) + 1):
+                for union in combinations(range(1, n + 1), size):
+                    for k in range(1, size):
+                        for kept in combinations(union, k):
+                            forgotten = [node for node in union if node not in kept]
+                            argv = ["classify", "--diagram", f"{fam}{n}",
+                                    "--marked", ",".join(map(str, kept)),
+                                    "--unmark", ",".join(map(str, forgotten))]
+                            for extra in (["--format", "json"], ["--trace"]):
+                                ns = parser.parse_args(argv + extra)
+                                outputs.append(cli._cmd_classify(ns))
+    return outputs
+
+
+def test_traces_do_not_depend_on_what_was_enumerated(monkeypatch):
+    # enumeration decides on verdicts in a store of its own, so classify()
+    # traces the same bytes cold and after an enumeration in the process
+    monkeypatch.setattr(classifier, "_DECISION_CACHE", {})
+    cold = _all_subsets_outputs(6)
+    monkeypatch.setattr(classifier, "_DECISION_CACHE", {})
+    classifier.enumerate_nestings(6, "all-subsets")
+    assert _all_subsets_outputs(6) == cold

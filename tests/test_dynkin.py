@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flagnest import dynkin
+from flagnest.cohomology import degree_ledger, presentation
 from flagnest.dynkin import (
     apply_automorphism,
     cartan_matrix,
@@ -52,6 +53,26 @@ def test_low_rank_normalizations():
         diagram("D", 2)
     with pytest.raises(UnsupportedInputError):
         diagram("A", 0)
+
+
+def test_raw_diagrams_keep_the_rank_bound_and_the_stored_names():
+    # a raw DynkinDiagram skips diagram(), yet the kernels must not answer
+    # for a rank the CLI refuses or for a diagram stored under another name
+    with pytest.raises(UnsupportedInputError, match="rank 100 outside the supported 1..61"):
+        variety_dimension(marked(dynkin.DynkinDiagram("A", 100), [1]))
+    with pytest.raises(UnsupportedInputError, match="D3 is stored as A3; mark A3"):
+        degree_ledger(presentation(marked(dynkin.DynkinDiagram("D", 3), [1])))
+    with pytest.raises(UnsupportedInputError, match="C2 is stored as B2; mark B2"):
+        marked(dynkin.DynkinDiagram("C", 2), [1])
+    for fam, rank in (("D", 2), ("D", 1), ("B", 1), ("C", 1)):
+        with pytest.raises(UnsupportedInputError):
+            marked(dynkin.DynkinDiagram(fam, rank), [1])
+    for rank in (0, -1, dynkin.MAX_RANK + 1):
+        with pytest.raises(UnsupportedInputError, match="outside the supported"):
+            dynkin.DynkinDiagram("A", rank)
+    # the aliases stay constructible, so a query posed on one is refused by name
+    assert str(dynkin.DynkinDiagram("C", 2)) == "C2"
+    assert variety_dimension(marked(dynkin.DynkinDiagram("A", 61), [1])) == 61
 
 
 def test_g2_has_rank_two_only():
