@@ -12,7 +12,6 @@ itself.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterator, List, Sequence, Tuple
@@ -40,14 +39,15 @@ from .constructions import (
     section_trials,
 )
 from .dynkin import diagram, marked, variety_dimension
+from .errors import Frozen
 from .exactpoly import GradedPoly
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(Frozen):
+    def __init__(self, name: str, passed: bool, detail: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
 def _result(name: str, passed: bool, detail: str) -> CheckResult:

@@ -19,12 +19,11 @@ recomputed as a direct Bareiss determinant by `schur_minor` and must agree.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import linalg
-from .errors import InternalInconsistencyError, UnsupportedInputError
+from .errors import Frozen, InternalInconsistencyError, UnsupportedInputError
 from .exactpoly import Scalar, UniPoly, _as_rational, exact_div
 
 Partition = Tuple[int, ...]
@@ -41,31 +40,36 @@ def _check_partition(lam: Partition) -> None:
         raise UnsupportedInputError(f"partition must be weakly decreasing: {lam}")
 
 
-@dataclass(frozen=True)
-class ChernVector:
+class ChernVector(Frozen):
     """Entries (E_0=1, E_1, ..., E_r) against H^i on a dim-`ambient_dim` base.
 
     Entries are kept in exactpoly's normal form, an int where integral and a
     Fraction otherwise, so an integral vector runs in int arithmetic.
     """
 
-    entries: Tuple[Scalar, ...]
-    ambient_dim: int
-
-    def __post_init__(self):
-        ent = tuple(_as_rational(e) for e in self.entries)
-        object.__setattr__(self, "entries", ent)
+    def __init__(self, entries: Tuple[Scalar, ...], ambient_dim: int):
+        ent = tuple(_as_rational(e) for e in entries)
         if not ent:
             raise UnsupportedInputError("Chern vector needs at least E_0")
         if ent[0] != 1:
             raise UnsupportedInputError(f"E_0 must be 1, got {ent[0]}")
-        if self.ambient_dim < 0:
+        if ambient_dim < 0:
             raise UnsupportedInputError("ambient dimension must be nonnegative")
-        if self.r > self.ambient_dim:
+        if len(ent) - 1 > ambient_dim:
             raise UnsupportedInputError(
-                f"vector of length {self.r} does not fit ambient dimension "
-                f"{self.ambient_dim}"
+                f"vector of length {len(ent) - 1} does not fit ambient dimension "
+                f"{ambient_dim}"
             )
+        object.__setattr__(self, "entries", ent)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries and self.ambient_dim == other.ambient_dim
+
+    def __hash__(self):
+        return hash((self.entries, self.ambient_dim))
 
     @property
     def r(self) -> int:
@@ -114,11 +118,25 @@ def schur_minor(c: ChernVector, lam: Partition) -> Fraction:
     return Fraction(sign * mat[-1][-1], scale) if full == t else Fraction(0)
 
 
-@dataclass(frozen=True)
-class NefResult:
-    feasible: bool
-    witness: Optional[Partition] = None
-    value: Optional[Fraction] = None
+class NefResult(Frozen):
+    def __init__(
+        self, feasible: bool, witness: Optional[Partition] = None, value: Optional[Fraction] = None
+    ):
+        object.__setattr__(self, "feasible", feasible)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.feasible == other.feasible
+            and self.witness == other.witness
+            and self.value == other.value
+        )
+
+    def __hash__(self):
+        return hash((self.feasible, self.witness, self.value))
 
     def __bool__(self):
         return self.feasible

@@ -11,8 +11,9 @@ are recorded rather than recomputed; a positive decision ends by naming the
 explicit construction realizing the section.
 """
 
+from __future__ import annotations
+
 import gc
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from types import MappingProxyType
@@ -42,7 +43,7 @@ from .dynkin import (
     restriction_tag,
     variety_dimension,
 )
-from .errors import InternalInconsistencyError, UnsupportedInputError
+from .errors import Frozen, InternalInconsistencyError, UnsupportedInputError
 from .exactpoly import GradedPoly, Scalar, UniPoly, exact_div
 
 EXISTS = "exists"
@@ -102,13 +103,18 @@ def _jsonable(value):
     return str(value)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Frozen):
     """One applied rule: its name, a plain-language justification, data used."""
 
-    rule: str
-    anchor: str
-    data: Mapping[str, object] = field(default_factory=dict)
+    def __init__(self, rule: str, anchor: str, data: Mapping[str, object]):
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "data", data)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rule == other.rule and self.anchor == other.anchor and self.data == other.data
 
     def to_json(self) -> dict:
         return {"rule": self.rule, "anchor": self.anchor, "data": _jsonable(self.data)}
@@ -122,38 +128,41 @@ def _query_row(d: DynkinDiagram, kept: Marks, forgotten: Marks) -> dict:
     return {"diagram": str(d), "I": list(kept), "J": list(forgotten)}
 
 
-@dataclass(frozen=True)
-class NestingQuery:
+class NestingQuery(Frozen):
     """Does the projection D(I | J) -> D(I) forgetting the J marks split?
 
     I is the set of marks kept downstairs, J the set being forgotten; both
-    must be nonempty disjoint node sets of the diagram.
+    must be nonempty disjoint node sets of the diagram.  The key derived
+    from them is not compared.
     """
 
-    diagram: DynkinDiagram
-    I: FrozenSet[int]
-    J: FrozenSet[int]
-    _key: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        d = self.diagram
-        require_stored(d, "pose the query on")
-        for node in (*self.I, *self.J):
+    def __init__(self, diagram: DynkinDiagram, I: FrozenSet[int], J: FrozenSet[int]):
+        require_stored(diagram, "pose the query on")
+        for node in (*I, *J):
             if isinstance(node, bool) or not isinstance(node, int):
                 raise UnsupportedInputError(f"node {node!r} is not an integer")
-        kept = frozenset(self.I)
-        forgotten = frozenset(self.J)
-        object.__setattr__(self, "I", kept)
-        object.__setattr__(self, "J", forgotten)
+        kept = frozenset(I)
+        forgotten = frozenset(J)
         if not kept or not forgotten:
             raise UnsupportedInputError("both mark sets must be nonempty")
         if kept & forgotten:
             raise UnsupportedInputError("mark sets must be disjoint")
         for node in kept | forgotten:  # name the first offending node, as iterated
-            if not 1 <= node <= d.rank:
-                raise UnsupportedInputError(f"node {node} outside 1..{d.rank}")
-        key = (d.family, d.rank, tuple(sorted(kept)), tuple(sorted(forgotten)))
+            if not 1 <= node <= diagram.rank:
+                raise UnsupportedInputError(f"node {node} outside 1..{diagram.rank}")
+        key = (diagram.family, diagram.rank, tuple(sorted(kept)), tuple(sorted(forgotten)))
+        object.__setattr__(self, "diagram", diagram)
+        object.__setattr__(self, "I", kept)
+        object.__setattr__(self, "J", forgotten)
         object.__setattr__(self, "_key", key)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.diagram == other.diagram and self.I == other.I and self.J == other.J
+
+    def __hash__(self):
+        return hash((self.diagram, self.I, self.J))
 
     def key(self) -> tuple:
         """(family, rank, sorted I, sorted J), computed once."""
@@ -163,11 +172,11 @@ class NestingQuery:
         return _query_row(self.diagram, *self._key[2:])
 
 
-@dataclass(frozen=True)
-class NestingDecision:
-    query: NestingQuery
-    result: str
-    trace: Tuple[TraceStep, ...]
+class NestingDecision(Frozen):
+    def __init__(self, query: NestingQuery, result: str, trace: Tuple[TraceStep, ...]):
+        object.__setattr__(self, "query", query)
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "trace", trace)
 
     @property
     def exists(self) -> bool:
@@ -181,13 +190,27 @@ class NestingDecision:
         }
 
 
-@dataclass(frozen=True)
-class ObstructionOutcome:
+class ObstructionOutcome(Frozen):
     """What one obstruction pipeline concluded about a single query."""
 
-    obstructed: bool
-    steps: Tuple[TraceStep, ...]
-    survivors: Tuple[Tuple[UniPoly, UniPoly], ...] = ()
+    def __init__(
+        self,
+        obstructed: bool,
+        steps: Tuple[TraceStep, ...],
+        survivors: Tuple[Tuple[UniPoly, UniPoly], ...] = (),
+    ):
+        object.__setattr__(self, "obstructed", obstructed)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "survivors", survivors)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.obstructed == other.obstructed
+            and self.steps == other.steps
+            and self.survivors == other.survivors
+        )
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,7 @@ could not be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Iterable, Optional, Tuple
@@ -52,7 +53,10 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="FILE", default=None, help="write output to FILE")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process: parse_args keeps no state between
+    calls, and building it is most of a warm main() call."""
     parser = _Parser(
         prog="flagnest",
         description="classify nestings of rational homogeneous varieties",

@@ -17,43 +17,57 @@ it.  And real coefficients are modeled by Q throughout: all relation data is
 rational and every positivity or nonvanishing check downstream is exact.
 """
 
+from __future__ import annotations
+
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .dynkin import DynkinDiagram, MarkedDiagram, diagram, marked
-from .errors import InternalInconsistencyError, UnsupportedInputError
+from .errors import Frozen, InternalInconsistencyError, UnsupportedInputError
 from .exactpoly import GradedPoly, Scalar, UniPoly, _add_products, _div, coeff_plus
 from .linalg import rank
 
 _CLASSICAL = ("A", "B", "C", "D")
 
 
-@dataclass(frozen=True)
-class GradedPresentation:
-    """A graded ring given by generators with degrees and homogeneous relations."""
+class GradedPresentation(Frozen):
+    """A graded ring given by generators with degrees and homogeneous relations.
 
-    variety: MarkedDiagram
-    generators: Tuple[Tuple[str, int], ...]
-    relations: Tuple[GradedPoly, ...]
-    # rel_degrees[k] is the weighted degree of relations[k], computed once
-    rel_degrees: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    rel_degrees[k] is the weighted degree of relations[k], computed once; it
+    is derived and not compared."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple((str(n), int(d)) for n, d in self.generators))
-        object.__setattr__(self, "relations", tuple(self.relations))
+    def __init__(
+        self,
+        variety: MarkedDiagram,
+        generators: Tuple[Tuple[str, int], ...],
+        relations: Tuple[GradedPoly, ...],
+    ):
+        generators = tuple((str(n), int(d)) for n, d in generators)
+        relations = tuple(relations)
         degrees = []
-        for rel in self.relations:
-            if rel.gens != self.generators:
+        for rel in relations:
+            if rel.gens != generators:
                 raise InternalInconsistencyError("relation written over the wrong generator table")
             degree = rel.homogeneous_degree()
             if degree is None:
                 raise InternalInconsistencyError(f"inhomogeneous relation {rel}")
             degrees.append(degree)
+        object.__setattr__(self, "variety", variety)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "rel_degrees", tuple(degrees))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.variety == other.variety
+            and self.generators == other.generators
+            and self.relations == other.relations
+        )
 
     def to_json(self) -> dict:
         return {

@@ -19,16 +19,17 @@ the needed null vectors exist.  Random data is always built constructively
 approximating roots.
 """
 
+from __future__ import annotations
+
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .dynkin import MAX_RANK
-from .errors import InternalInconsistencyError, UnsupportedInputError
-from .exactpoly import GaussRat, Scalar, UniPoly, _as_rational, _div, _normal
+from .errors import Frozen, InternalInconsistencyError, UnsupportedInputError
+from .exactpoly import GaussRat, UniPoly, _as_rational, _div, _normal
 from .linalg import determinant, in_row_span, kernel_basis, row_echelon
 
 Matrix = Tuple[tuple, ...]
@@ -56,32 +57,30 @@ def _rational_rows(rows) -> Matrix:
 # Bilinear-form spaces
 
 
-@dataclass(frozen=True)
-class FormSpace:
+class FormSpace(Frozen):
     """A nondegenerate bilinear form on Q^dim with Gram matrix `gram`: a
-    symmetric form for sign 1, an alternating one for sign -1."""
+    symmetric form for sign 1, an alternating one for sign -1.  `entries`
+    lists (i, j, gram[i][j]) of every nonzero entry in row-major order,
+    found once."""
 
-    dim: int
-    gram: Matrix
-    sign: int
-    # (i, j, gram[i][j]) of every nonzero entry in row-major order, found once
-    entries: Tuple[Tuple[int, int, Scalar], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "gram", _rational_rows(self.gram))
-        if type(self.sign) is not int or self.sign not in (1, -1):
-            raise UnsupportedInputError(f"the form's sign is 1 or -1, not {self.sign!r}")
-        symmetric = self.sign == 1
+    def __init__(self, dim: int, gram: Matrix, sign: int):
+        gram = _rational_rows(gram)
+        if type(sign) is not int or sign not in (1, -1):
+            raise UnsupportedInputError(f"the form's sign is 1 or -1, not {sign!r}")
+        symmetric = sign == 1
         matrix = "Gram matrix" if symmetric else "form matrix"
-        if not symmetric and (self.dim % 2 or self.dim < 2):
-            raise UnsupportedInputError(f"symplectic spaces have positive even dimension, not {self.dim}")
-        if len(self.gram) != self.dim or any(len(r) != self.dim for r in self.gram):
+        if not symmetric and (dim % 2 or dim < 2):
+            raise UnsupportedInputError(f"symplectic spaces have positive even dimension, not {dim}")
+        if len(gram) != dim or any(len(r) != dim for r in gram):
             raise UnsupportedInputError(f"{matrix} does not match the dimension")
-        if list(zip(*self.gram)) != [tuple(self.sign * x for x in row) for row in self.gram]:
+        if list(zip(*gram)) != [tuple(sign * x for x in row) for row in gram]:
             raise UnsupportedInputError(f"{matrix} is not {'' if symmetric else 'anti'}symmetric")
-        if determinant(self.gram) == 0:
+        if determinant(gram) == 0:
             raise UnsupportedInputError(f"{'bilinear ' if symmetric else ''}form is degenerate")
-        entries = tuple((i, j, g) for i, r in enumerate(self.gram) for j, g in enumerate(r) if g)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "sign", sign)
+        entries = tuple((i, j, g) for i, r in enumerate(gram) for j, g in enumerate(r) if g)
         object.__setattr__(self, "entries", entries)
 
     def pairing(self, u, v):
@@ -202,15 +201,20 @@ def _build_mul_table():
 _MUL_TABLE = _build_mul_table()
 
 
-@dataclass(frozen=True)
-class Octonion:
-    coords: Tuple[GaussRat, ...]
-
-    def __post_init__(self):
-        cs = tuple(GaussRat.of(c) for c in self.coords)
+class Octonion(Frozen):
+    def __init__(self, coords: Tuple[GaussRat, ...]):
+        cs = tuple(GaussRat.of(c) for c in coords)
         if len(cs) != 8:
             raise UnsupportedInputError("an octonion has 8 coordinates")
         object.__setattr__(self, "coords", cs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash(self.coords)
 
     @staticmethod
     def unit(i: int) -> "Octonion":
@@ -288,18 +292,24 @@ def nesting_B3_chern_solver() -> Tuple[Tuple[int, Tuple[int, int, int]], ...]:
 # The isotropic-flag construction
 
 
-@dataclass(frozen=True)
-class IsotropicFlag:
-    spaces: Tuple[Matrix, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "spaces", tuple(_freeze(m) for m in self.spaces))
-        dims = [len(m) for m in self.spaces]
+class IsotropicFlag(Frozen):
+    def __init__(self, spaces: Tuple[Matrix, ...]):
+        spaces = tuple(_freeze(m) for m in spaces)
+        dims = [len(m) for m in spaces]
         if any(b <= a for a, b in zip(dims, dims[1:])):
             raise UnsupportedInputError(f"flag dimensions must strictly increase, got {dims}")
-        for small, big in zip(self.spaces, self.spaces[1:]):
+        for small, big in zip(spaces, spaces[1:]):
             if not _span_subset(small, big):
                 raise UnsupportedInputError("flag spaces are not nested")
+        object.__setattr__(self, "spaces", spaces)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.spaces == other.spaces
+
+    def __hash__(self):
+        return hash(self.spaces)
 
     def dimensions(self) -> Tuple[int, ...]:
         return tuple(len(m) for m in self.spaces)
@@ -342,12 +352,16 @@ def nesting_D(qs: FormSpace, vn, v) -> IsotropicFlag:
     return IsotropicFlag((small, vn_canon, big))
 
 
-@dataclass(frozen=True)
-class DRecursionReport:
+class DRecursionReport(Frozen):
     """Outcome of the splitting-degree scan for the isotropic-flag family."""
 
-    chain_solutions: Tuple[Tuple[int, Tuple[int, ...]], ...]
-    final_candidates: Tuple[Tuple[int, int], ...]
+    def __init__(
+        self,
+        chain_solutions: Tuple[Tuple[int, Tuple[int, ...]], ...],
+        final_candidates: Tuple[Tuple[int, int], ...],
+    ):
+        object.__setattr__(self, "chain_solutions", chain_solutions)
+        object.__setattr__(self, "final_candidates", final_candidates)
 
     @property
     def empty(self) -> bool:
@@ -502,12 +516,12 @@ def verify_section(kind: str, space, source, produced) -> bool:
     raise UnsupportedInputError(f"unknown construction kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class TrialReport:
-    kind: str
-    trials: int
-    passed: int
-    failure: Optional[Dict[str, str]]
+class TrialReport(Frozen):
+    def __init__(self, kind: str, trials: int, passed: int, failure: Optional[Dict[str, str]]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "failure", failure)
 
     @property
     def ok(self) -> bool:

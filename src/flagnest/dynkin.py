@@ -17,10 +17,9 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Tuple
 
-from .errors import UnsupportedInputError
+from .errors import Frozen, UnsupportedInputError
 
 FAMILIES = ("A", "B", "C", "D", "G2")
 
@@ -30,18 +29,24 @@ FAMILIES = ("A", "B", "C", "D", "G2")
 MAX_RANK = 61
 
 
-@dataclass(frozen=True)
-class DynkinDiagram:
-    family: str
-    rank: int
+class DynkinDiagram(Frozen):
+    def __init__(self, family: str, rank: int):
+        if family not in FAMILIES:
+            raise UnsupportedInputError(f"unknown family {family!r}")
+        if family == "G2" and rank != 2:
+            raise UnsupportedInputError(f"G2 has rank 2, not {rank}")
+        if not 1 <= rank <= MAX_RANK:
+            raise UnsupportedInputError(f"rank {rank} outside the supported 1..{MAX_RANK}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise UnsupportedInputError(f"unknown family {self.family!r}")
-        if self.family == "G2" and self.rank != 2:
-            raise UnsupportedInputError(f"G2 has rank 2, not {self.rank}")
-        if not 1 <= self.rank <= MAX_RANK:
-            raise UnsupportedInputError(f"rank {self.rank} outside the supported 1..{MAX_RANK}")
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.family == other.family and self.rank == other.rank
+
+    def __hash__(self):
+        return hash((self.family, self.rank))
 
     def __str__(self):
         return f"{self.family}{self.rank}" if self.family != "G2" else "G2"
@@ -123,17 +128,23 @@ def require_stored(d: DynkinDiagram, instead: str) -> None:
             )
 
 
-@dataclass(frozen=True)
-class MarkedDiagram:
-    diagram: DynkinDiagram
-    marked: FrozenSet[int]
-
-    def __post_init__(self):
-        require_stored(self.diagram, "mark")
-        object.__setattr__(self, "marked", frozenset(self.marked))
-        bad = [i for i in self.marked if i not in self.diagram.nodes]
+class MarkedDiagram(Frozen):
+    def __init__(self, diagram: DynkinDiagram, marked: FrozenSet[int]):
+        require_stored(diagram, "mark")
+        marked = frozenset(marked)
+        bad = [i for i in marked if i not in diagram.nodes]
         if bad:
-            raise UnsupportedInputError(f"marked nodes {bad} outside 1..{self.diagram.rank}")
+            raise UnsupportedInputError(f"marked nodes {bad} outside 1..{diagram.rank}")
+        object.__setattr__(self, "diagram", diagram)
+        object.__setattr__(self, "marked", marked)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.diagram == other.diagram and self.marked == other.marked
+
+    def __hash__(self):
+        return hash((self.diagram, self.marked))
 
     def __str__(self):
         inner = ",".join(str(i) for i in sorted(self.marked))
@@ -164,7 +175,7 @@ def parse_marked(text: str) -> MarkedDiagram:
 
 
 # Pure functions of a diagram are memoized with functools.cache and return
-# immutable values (tuples and frozen dataclasses), so every caller shares
+# immutable values (tuples and Frozen value types), so every caller shares
 # one copy and none can change it.  _COMPONENTS interns deletion components:
 # many deletions of one diagram leave equal components, and each is kept once.
 _COMPONENTS: Dict["Component", "Component"] = {}
@@ -284,19 +295,25 @@ def apply_automorphism(sigma: Tuple[int, ...], nodes) -> FrozenSet[int]:
 # Node deletion
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Frozen):
     """A connected component of a node deletion, re-identified as classical.
 
-    nodes[k] is the parent diagram's label of the component's own node k+1.
+    nodes[k] is the parent diagram's label of the component's own node k+1;
+    parent_nodes, the same labels as a set, is derived and not compared.
     """
 
-    diagram: DynkinDiagram
-    nodes: Tuple[int, ...]
-    parent_nodes: FrozenSet[int] = field(init=False, repr=False, compare=False)
+    def __init__(self, diagram: DynkinDiagram, nodes: Tuple[int, ...]):
+        object.__setattr__(self, "diagram", diagram)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "parent_nodes", frozenset(nodes))
 
-    def __post_init__(self):
-        object.__setattr__(self, "parent_nodes", frozenset(self.nodes))
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.diagram == other.diagram and self.nodes == other.nodes
+
+    def __hash__(self):
+        return hash((self.diagram, self.nodes))
 
     def own_node(self, parent: int) -> int:
         return self.nodes.index(parent) + 1

@@ -24,10 +24,11 @@ Python, so every division of coefficients goes through ``_div``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
+
+from .errors import Frozen
 
 
 Scalar = Union[int, Fraction]
@@ -57,13 +58,9 @@ def _div(a, b):
     return a / b
 
 
-@dataclass(frozen=True)
-class GaussRat:
+class GaussRat(Frozen):
     """A Gaussian rational a + b*i with exact rational parts, each in normal
     form (int where integral, else Fraction)."""
-
-    re: Scalar
-    im: Scalar
 
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", _as_rational(re))

@@ -517,3 +517,13 @@ def test_chern_vector_validation():
     with pytest.raises(UnsupportedInputError):
         ChernVector((1, 1, 1), 1)
     assert not ChernVector((1, Fraction(1, 2)), 4).integral
+
+
+def test_chern_vectors_and_nef_results_are_values(value_type):
+    value_type(ChernVector, ((1, 2, 1), 4), [((1, 2, 2), 4), ((1, 2, 1), 5)])
+    witness = (False, (2, 1), Fraction(-1))
+    value_type(
+        NefResult,
+        witness,
+        [(True, (2, 1), Fraction(-1)), (False, (3,), Fraction(-1)), (False, (2, 1), Fraction(-2))],
+    )

@@ -10,6 +10,7 @@ from flagnest.classifier import (
     EXISTS,
     NOT_EXISTS,
     NestingQuery,
+    ObstructionOutcome,
     TraceStep,
     _canonical_marks,
     _curve_tag_blocks,
@@ -28,6 +29,7 @@ from flagnest.dynkin import (
     marked,
 )
 from flagnest.errors import InternalInconsistencyError, UnsupportedInputError
+from flagnest.exactpoly import UniPoly
 
 
 def query(fam, n, kept, forgotten):
@@ -583,13 +585,13 @@ def test_enumeration_validates_only_the_queries_it_poses(monkeypatch):
     # enumeration decides canonical mark tuples directly; only a cascade
     # subquery that misses the decision cache becomes a NestingQuery
     calls = []
-    validate = NestingQuery.__post_init__
+    validate = NestingQuery.__init__
 
-    def counting(self):
+    def counting(self, *args):
         calls.append(1)
-        validate(self)
+        validate(self, *args)
 
-    monkeypatch.setattr(NestingQuery, "__post_init__", counting)
+    monkeypatch.setattr(NestingQuery, "__init__", counting)
     monkeypatch.setattr(classifier, "_DECISION_CACHE", {})
     rep = enumerate_nestings(8, "all-subsets")
     assert rep["classified"] > 8000
@@ -601,3 +603,34 @@ def test_enumerate_validates_arguments():
         enumerate_nestings(2)
     with pytest.raises(UnsupportedInputError):
         enumerate_nestings(6, "everything")
+
+
+def test_queries_steps_and_outcomes_are_values(value_type):
+    d5, b5, one, two = diagram("D", 5), diagram("B", 5), frozenset({1}), frozenset({2})
+    value_type(
+        NestingQuery,
+        (d5, one, two),
+        [(b5, one, two), (d5, frozenset({3}), two), (d5, one, frozenset({3}))],
+    )
+    step = ("coxeter-parity", "h is odd", {"h": 9})
+    value_type(
+        TraceStep,
+        step,
+        [("other", "h is odd", {"h": 9}), ("coxeter-parity", "other", {"h": 9}),
+         ("coxeter-parity", "h is odd", {"h": 7})],
+        hashable=False,  # step data is a dict
+    )
+    steps, split = (TraceStep(*step),), ((UniPoly([1, 1]), UniPoly([1, -1])),)
+    value_type(
+        ObstructionOutcome,
+        (False, steps, split),
+        [(True, steps, split), (False, (), split), (False, steps, ())],
+        hashable=False,
+    )
+
+
+def test_queries_compare_without_their_key():
+    query = NestingQuery(diagram("D", 5), frozenset({1}), frozenset({2}))
+    twin = copy.deepcopy(query)
+    twin.__dict__["_key"] = ()
+    assert twin == query and hash(twin) == hash(query)

@@ -99,6 +99,17 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _fresh_python(*args):
+    """Run the interpreter with args in a new process, under the suite's
+    environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, timeout=60, env=env, preexec_fn=_limit_memory,
+    )
+
+
 @pytest.mark.parametrize(
     "argv,rank",
     [
@@ -110,12 +121,7 @@ def _limit_memory():
     ids=["classify", "enumerate", "verify-A", "verify-D"],
 )
 def test_ranks_above_the_supported_bound_exit_two(argv, rank):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "flagnest.cli", *argv],
-        capture_output=True, text=True, timeout=60, env=env, preexec_fn=_limit_memory,
-    )
+    proc = _fresh_python("-m", "flagnest.cli", *argv)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr == f"flagnest: unsupported input: rank {rank} is above the supported maximum 61\n"
@@ -336,10 +342,9 @@ def test_help_and_version_exit_zero(capsys):
     assert cli.main(["--version"]) == 0
 
 
-def _all_subsets_outputs(max_rank):
-    """classify JSON and --trace text of every all-subsets query up to
-    max_rank, from one parser: building it is most of a main() call."""
-    parser = cli._build_parser()
+def _all_subsets_outputs(capsys, max_rank):
+    """Exit code, stdout and stderr of main() on the classify JSON and
+    --trace text of every all-subsets query up to max_rank."""
     outputs = []
     for fam, lo in (("A", 2), ("B", 2), ("C", 3), ("D", 4)):
         for n in range(lo, max_rank + 1):
@@ -352,16 +357,56 @@ def _all_subsets_outputs(max_rank):
                                     "--marked", ",".join(map(str, kept)),
                                     "--unmark", ",".join(map(str, forgotten))]
                             for extra in (["--format", "json"], ["--trace"]):
-                                ns = parser.parse_args(argv + extra)
-                                outputs.append(cli._cmd_classify(ns))
+                                outputs.append(run(capsys, *argv, *extra))
     return outputs
 
 
-def test_traces_do_not_depend_on_what_was_enumerated(monkeypatch):
+def test_traces_do_not_depend_on_what_was_enumerated(capsys, monkeypatch):
     # enumeration decides on verdicts in a store of its own, so classify()
     # traces the same bytes cold and after an enumeration in the process
     monkeypatch.setattr(classifier, "_DECISION_CACHE", {})
-    cold = _all_subsets_outputs(6)
+    cold = _all_subsets_outputs(capsys, 6)
     monkeypatch.setattr(classifier, "_DECISION_CACHE", {})
     classifier.enumerate_nestings(6, "all-subsets")
-    assert _all_subsets_outputs(6) == cold
+    assert _all_subsets_outputs(capsys, 6) == cold
+
+
+# Every verb but self-check, --trace on and off, JSON then text, a usage
+# error (64) and unsupported input (2), each call following a different one.
+MIXED_ARGV = [
+    ["classify", "--diagram", "B13", "--marked", "13", "--unmark", "4", "--trace"],
+    ["classify", "--diagram", "B13", "--marked", "13", "--unmark", "4"],
+    ["classify", "--diagram", "D5", "--marked", "1", "--unmark", "5", "--format", "json"],
+    ["classify", "--diagram", "D5", "--marked", "1", "--unmark", "5", "--format", "text"],
+    ["enumerate", "--max-rank", "5", "--format", "json"],
+    ["classify", "--diagram", "C2", "--marked", "1", "--unmark", "2"],
+    ["enumerate", "--max-rank", "5", "--mode", "all-subsets"],
+    ["explain", "D5(1,3)", "--format", "json"],
+    ["classify", "--diagram", "A3", "--marked", "1,x", "--unmark", "2"],
+    ["explain", "D5(1,3)"],
+    ["verify-construction", "D", "--trials", "3"],
+    ["verify-construction", "B3", "--trials", "2", "--format", "json"],
+    ["enumerate", "--max-rank", "5"],
+    ["--version"],
+]
+
+
+def test_main_answers_each_call_in_one_process_as_a_fresh_process(capsys):
+    # main() reuses one parser for the life of the process; no call may see
+    # what an earlier one parsed
+    warm = [run(capsys, *argv) for argv in MIXED_ARGV]
+    assert {code for code, _, _ in warm} == {0, 2, 64}
+    for argv, (code, out, err) in zip(MIXED_ARGV, warm):
+        proc = _fresh_python("-m", "flagnest.cli", *argv)
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
+def test_importing_the_cli_generates_no_code():
+    # a cold CLI call is mostly start-up: the value types are plain classes,
+    # so importing the package loads no dataclass machinery
+    generators = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    proc = _fresh_python(
+        "-c", f"import sys, flagnest.cli; print([m for m in {generators} if m in sys.modules])"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

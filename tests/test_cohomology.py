@@ -413,3 +413,19 @@ def test_homogeneous_monomials_leaves_no_reference_cycle():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_presentations_are_unhashable_values(value_type):
+    gens, renamed = (("x", 1), ("y", 2)), (("x", 1), ("z", 2))
+    v = marked(diagram("A", 2), {1})
+    rels = (GradedPoly(gens, {(2, 0): 1, (0, 1): -1}),)
+    value_type(
+        GradedPresentation,
+        (v, gens, rels),
+        [
+            (marked(diagram("A", 2), {2}), gens, rels),
+            (v, renamed, (GradedPoly(renamed, rels[0].terms),)),
+            (v, gens, (GradedPoly(gens, {(2, 0): 1, (0, 1): 1}),)),
+        ],
+        hashable=False,  # a GradedPoly is unhashable
+    )

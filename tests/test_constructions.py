@@ -373,3 +373,10 @@ def test_seeded_construction_outputs_are_pinned():
     assert len(lines) == 35
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "455b831f5add91d1573790e79977133740e6facb7066e5b12ccf37859bac60b0"
+
+
+def test_octonions_and_flags_are_values(value_type):
+    coords = tuple(GaussRat(k, 1) for k in range(8))
+    value_type(Octonion, (coords,), [((GaussRat(9),) + coords[1:],)])
+    e = [tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4)]
+    value_type(IsotropicFlag, (((e[0],), (e[0], e[1])),), [(((e[1],), (e[0], e[1])),)])

@@ -5,6 +5,7 @@ tags.
 The reference root list below and the Cartan-matrix component oracle are
 independent of how `dynkin` builds components and counts Levi roots."""
 
+import copy
 from itertools import combinations
 
 import pytest
@@ -380,3 +381,20 @@ def test_dimension_is_automorphism_invariant(n, data):
     for sigma in diagram_automorphisms(d):
         image = marked(d, apply_automorphism(sigma, nodes))
         assert variety_dimension(image) == variety_dimension(m)
+
+
+def test_diagrams_and_components_are_values(value_type):
+    a3, b2 = diagram("A", 3), diagram("B", 2)
+    value_type(dynkin.DynkinDiagram, ("A", 3), [("B", 3), ("A", 4)])
+    value_type(dynkin.MarkedDiagram, (a3, {1}), [(diagram("A", 4), {1}), (a3, {2})])
+    value_type(dynkin.Component, (b2, (3, 4)), [(diagram("A", 2), (3, 4)), (b2, (4, 3))])
+    assert repr(dynkin.MarkedDiagram(a3, {1})) == (
+        "MarkedDiagram(diagram=DynkinDiagram(family='A', rank=3), marked=frozenset({1}))"
+    )
+
+
+def test_components_compare_without_their_node_set():
+    comp = component_containing(diagram("D", 5), {2}, 4)
+    twin = copy.deepcopy(comp)
+    twin.__dict__["parent_nodes"] = frozenset()
+    assert twin == comp and hash(twin) == hash(comp)

@@ -435,3 +435,11 @@ def test_slice_membership_with_non_unit_pivot():
     pres, gens = _toy_presentation([r1, r2, r3], xyz)
     assert slice_dimension(pres, 1) == 1
     assert in_relation_slice(pres, GradedPoly(gens, r3))
+
+
+def test_gaussian_rationals_are_values(value_type):
+    value_type(GaussRat, (1, Fraction(1, 2)), [(2, Fraction(1, 2)), (1, 3)])
+    # a real Gaussian rational is its real part, hash included
+    assert GaussRat(2) == 2 and hash(GaussRat(2)) == hash(2)
+    half = Fraction(1, 2)
+    assert GaussRat(half) == half and hash(GaussRat(half)) == hash(half)
