@@ -45,9 +45,7 @@ from .exactpoly import GradedPoly
 
 class CheckResult(Frozen):
     def __init__(self, name: str, passed: bool, detail: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
+        self._store(name=name, passed=passed, detail=detail)
 
 
 def _result(name: str, passed: bool, detail: str) -> CheckResult:

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from operator import attrgetter
 from typing import List, Optional, Tuple
 
 from . import linalg
-from .errors import Frozen, InternalInconsistencyError, UnsupportedInputError
+from .errors import InternalInconsistencyError, UnsupportedInputError, Value
 from .exactpoly import Scalar, UniPoly, _as_rational, exact_div
 
 Partition = Tuple[int, ...]
@@ -40,12 +41,14 @@ def _check_partition(lam: Partition) -> None:
         raise UnsupportedInputError(f"partition must be weakly decreasing: {lam}")
 
 
-class ChernVector(Frozen):
+class ChernVector(Value):
     """Entries (E_0=1, E_1, ..., E_r) against H^i on a dim-`ambient_dim` base.
 
     Entries are kept in exactpoly's normal form, an int where integral and a
     Fraction otherwise, so an integral vector runs in int arithmetic.
     """
+
+    _compared = attrgetter("entries", "ambient_dim")
 
     def __init__(self, entries: Tuple[Scalar, ...], ambient_dim: int):
         ent = tuple(_as_rational(e) for e in entries)
@@ -60,16 +63,7 @@ class ChernVector(Frozen):
                 f"vector of length {len(ent) - 1} does not fit ambient dimension "
                 f"{ambient_dim}"
             )
-        object.__setattr__(self, "entries", ent)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries and self.ambient_dim == other.ambient_dim
-
-    def __hash__(self):
-        return hash((self.entries, self.ambient_dim))
+        self._store(entries=ent, ambient_dim=ambient_dim)
 
     @property
     def r(self) -> int:
@@ -118,25 +112,13 @@ def schur_minor(c: ChernVector, lam: Partition) -> Fraction:
     return Fraction(sign * mat[-1][-1], scale) if full == t else Fraction(0)
 
 
-class NefResult(Frozen):
+class NefResult(Value):
+    _compared = attrgetter("feasible", "witness", "value")
+
     def __init__(
         self, feasible: bool, witness: Optional[Partition] = None, value: Optional[Fraction] = None
     ):
-        object.__setattr__(self, "feasible", feasible)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "value", value)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.feasible == other.feasible
-            and self.witness == other.witness
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.feasible, self.witness, self.value))
+        self._store(feasible=feasible, witness=witness, value=value)
 
     def __bool__(self):
         return self.feasible

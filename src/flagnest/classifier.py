@@ -16,6 +16,7 @@ from __future__ import annotations
 import gc
 from fractions import Fraction
 from itertools import combinations
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
 
@@ -29,6 +30,7 @@ from .cohomology import (
 )
 from .constructions import nesting_A_cohomology_solver
 from .dynkin import (
+    Component,
     DynkinDiagram,
     apply_automorphism,
     cartan_matrix,
@@ -43,7 +45,7 @@ from .dynkin import (
     restriction_tag,
     variety_dimension,
 )
-from .errors import Frozen, InternalInconsistencyError, UnsupportedInputError
+from .errors import Frozen, InternalInconsistencyError, UnsupportedInputError, Value
 from .exactpoly import GradedPoly, Scalar, UniPoly, exact_div
 
 EXISTS = "exists"
@@ -103,18 +105,14 @@ def _jsonable(value):
     return str(value)
 
 
-class TraceStep(Frozen):
+class TraceStep(Value):
     """One applied rule: its name, a plain-language justification, data used."""
 
-    def __init__(self, rule: str, anchor: str, data: Mapping[str, object]):
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "data", data)
+    _compared = attrgetter("rule", "anchor", "data")
+    __hash__ = None
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rule == other.rule and self.anchor == other.anchor and self.data == other.data
+    def __init__(self, rule: str, anchor: str, data: Mapping[str, object]):
+        self._store(rule=rule, anchor=anchor, data=data)
 
     def to_json(self) -> dict:
         return {"rule": self.rule, "anchor": self.anchor, "data": _jsonable(self.data)}
@@ -128,13 +126,15 @@ def _query_row(d: DynkinDiagram, kept: Marks, forgotten: Marks) -> dict:
     return {"diagram": str(d), "I": list(kept), "J": list(forgotten)}
 
 
-class NestingQuery(Frozen):
+class NestingQuery(Value):
     """Does the projection D(I | J) -> D(I) forgetting the J marks split?
 
     I is the set of marks kept downstairs, J the set being forgotten; both
     must be nonempty disjoint node sets of the diagram.  The key derived
     from them is not compared.
     """
+
+    _compared = attrgetter("diagram", "I", "J")
 
     def __init__(self, diagram: DynkinDiagram, I: FrozenSet[int], J: FrozenSet[int]):
         require_stored(diagram, "pose the query on")
@@ -151,18 +151,7 @@ class NestingQuery(Frozen):
             if not 1 <= node <= diagram.rank:
                 raise UnsupportedInputError(f"node {node} outside 1..{diagram.rank}")
         key = (diagram.family, diagram.rank, tuple(sorted(kept)), tuple(sorted(forgotten)))
-        object.__setattr__(self, "diagram", diagram)
-        object.__setattr__(self, "I", kept)
-        object.__setattr__(self, "J", forgotten)
-        object.__setattr__(self, "_key", key)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.diagram == other.diagram and self.I == other.I and self.J == other.J
-
-    def __hash__(self):
-        return hash((self.diagram, self.I, self.J))
+        self._store(diagram=diagram, I=kept, J=forgotten, _key=key)
 
     def key(self) -> tuple:
         """(family, rank, sorted I, sorted J), computed once."""
@@ -174,9 +163,7 @@ class NestingQuery(Frozen):
 
 class NestingDecision(Frozen):
     def __init__(self, query: NestingQuery, result: str, trace: Tuple[TraceStep, ...]):
-        object.__setattr__(self, "query", query)
-        object.__setattr__(self, "result", result)
-        object.__setattr__(self, "trace", trace)
+        self._store(query=query, result=result, trace=trace)
 
     @property
     def exists(self) -> bool:
@@ -190,8 +177,11 @@ class NestingDecision(Frozen):
         }
 
 
-class ObstructionOutcome(Frozen):
+class ObstructionOutcome(Value):
     """What one obstruction pipeline concluded about a single query."""
+
+    _compared = attrgetter("obstructed", "steps", "survivors")
+    __hash__ = None
 
     def __init__(
         self,
@@ -199,18 +189,7 @@ class ObstructionOutcome(Frozen):
         steps: Tuple[TraceStep, ...],
         survivors: Tuple[Tuple[UniPoly, UniPoly], ...] = (),
     ):
-        object.__setattr__(self, "obstructed", obstructed)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "survivors", survivors)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.obstructed == other.obstructed
-            and self.steps == other.steps
-            and self.survivors == other.survivors
-        )
+        self._store(obstructed=obstructed, steps=steps, survivors=survivors)
 
 
 # --------------------------------------------------------------------------
@@ -876,12 +855,24 @@ def _curve_tag_blocks(
     return (not ok), data
 
 
-_CURVE_TAG_ANCHOR = (
-    "Restricting to a rational curve in the direction of another marked node "
-    "tags the inner family with one nonzero degree; a section over the curve "
-    "exists only when the tag is constant on the fibers of the diagram "
-    "folding, and a lone off-fiber spike never is."
-)
+def _curve_tag_step(
+    store: _Store, steps: list, d: DynkinDiagram, comp: Component, i: int, j: int, curve_mark: int
+) -> bool:
+    """Restrict to the rational curve in the direction of curve_mark, with
+    comp the component of d that holds the kept mark i and the forgotten
+    mark j; record the step and return whether its tag blocks a section."""
+    tag = restriction_tag(d, comp, curve_mark)
+    blocked, data = _curve_tag_blocks(comp.diagram, comp.own_node(i), comp.own_node(j), tag)
+    store.step(
+        steps,
+        "rational-curve-tag",
+        "Restricting to a rational curve in the direction of another marked node "
+        "tags the inner family with one nonzero degree; a section over the curve "
+        "exists only when the tag is constant on the fibers of the diagram "
+        "folding, and a lone off-fiber spike never is.",
+        lambda: {**data, "kept_mark": i, "curve_mark": curve_mark},
+    )
+    return blocked
 
 
 def _decide_many_marked(store: _Store, d: DynkinDiagram, kept: Marks, j: int) -> Tuple[str, list]:
@@ -912,13 +903,7 @@ def _decide_many_marked(store: _Store, d: DynkinDiagram, kept: Marks, j: int) ->
         for i2 in others:
             if not _touches(cart, i2, comp.parent_nodes):
                 continue
-            t = restriction_tag(d, comp, i2)
-            blocked, data = _curve_tag_blocks(sub, own_i, own_j, t)
-            store.step(
-                steps, "rational-curve-tag", _CURVE_TAG_ANCHOR,
-                lambda: {**data, "kept_mark": i1, "curve_mark": i2},
-            )
-            if blocked:
+            if _curve_tag_step(store, steps, d, comp, i1, j, i2):
                 return NOT_EXISTS, steps
     return _triality_exclusion(
         store, d, kept, (j,), steps, "tag symmetry survived outside the triality orbit"
@@ -945,13 +930,7 @@ def _decide_interior_mark(store: _Store, d: DynkinDiagram, i: int, j: int) -> Tu
     ):
         return NOT_EXISTS, steps
     i2 = min(nb for nb in neighbors(d, i) if nb not in bar.parent_nodes)
-    t = restriction_tag(d, comp, i2)
-    blocked, data = _curve_tag_blocks(comp.diagram, own_i, own_j, t)
-    store.step(
-        steps, "rational-curve-tag", _CURVE_TAG_ANCHOR,
-        lambda: {**data, "kept_mark": i, "curve_mark": i2},
-    )
-    if not blocked:
+    if not _curve_tag_step(store, steps, d, comp, i, j, i2):
         raise InternalInconsistencyError("an interior mark produced a fiber-constant tag")
     return NOT_EXISTS, steps
 

@@ -21,23 +21,26 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from operator import add
+from operator import add, attrgetter
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .dynkin import DynkinDiagram, MarkedDiagram, diagram, marked
-from .errors import Frozen, InternalInconsistencyError, UnsupportedInputError
+from .errors import InternalInconsistencyError, UnsupportedInputError, Value
 from .exactpoly import GradedPoly, Scalar, UniPoly, _add_products, _div, coeff_plus
 from .linalg import rank
 
 _CLASSICAL = ("A", "B", "C", "D")
 
 
-class GradedPresentation(Frozen):
+class GradedPresentation(Value):
     """A graded ring given by generators with degrees and homogeneous relations.
 
     rel_degrees[k] is the weighted degree of relations[k], computed once; it
     is derived and not compared."""
+
+    _compared = attrgetter("variety", "generators", "relations")
+    __hash__ = None
 
     def __init__(
         self,
@@ -55,18 +58,8 @@ class GradedPresentation(Frozen):
             if degree is None:
                 raise InternalInconsistencyError(f"inhomogeneous relation {rel}")
             degrees.append(degree)
-        object.__setattr__(self, "variety", variety)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "rel_degrees", tuple(degrees))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.variety == other.variety
-            and self.generators == other.generators
-            and self.relations == other.relations
+        self._store(
+            variety=variety, generators=generators, relations=relations, rel_degrees=tuple(degrees)
         )
 
     def to_json(self) -> dict:

@@ -24,11 +24,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import comb
-from operator import mul
+from operator import attrgetter, mul
 from typing import Dict, List, Optional, Tuple
 
 from .dynkin import MAX_RANK
-from .errors import Frozen, InternalInconsistencyError, UnsupportedInputError
+from .errors import Frozen, InternalInconsistencyError, UnsupportedInputError, Value
 from .exactpoly import GaussRat, UniPoly, _as_rational, _div, _normal
 from .linalg import determinant, in_row_span, kernel_basis, row_echelon
 
@@ -77,11 +77,8 @@ class FormSpace(Frozen):
             raise UnsupportedInputError(f"{matrix} is not {'' if symmetric else 'anti'}symmetric")
         if determinant(gram) == 0:
             raise UnsupportedInputError(f"{'bilinear ' if symmetric else ''}form is degenerate")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "sign", sign)
         entries = tuple((i, j, g) for i, r in enumerate(gram) for j, g in enumerate(r) if g)
-        object.__setattr__(self, "entries", entries)
+        self._store(dim=dim, gram=gram, sign=sign, entries=entries)
 
     def pairing(self, u, v):
         return sum(u[i] * g * v[j] for i, j, g in self.entries)
@@ -201,20 +198,14 @@ def _build_mul_table():
 _MUL_TABLE = _build_mul_table()
 
 
-class Octonion(Frozen):
+class Octonion(Value):
+    _compared = attrgetter("coords")
+
     def __init__(self, coords: Tuple[GaussRat, ...]):
         cs = tuple(GaussRat.of(c) for c in coords)
         if len(cs) != 8:
             raise UnsupportedInputError("an octonion has 8 coordinates")
-        object.__setattr__(self, "coords", cs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
+        self._store(coords=cs)
 
     @staticmethod
     def unit(i: int) -> "Octonion":
@@ -292,7 +283,9 @@ def nesting_B3_chern_solver() -> Tuple[Tuple[int, Tuple[int, int, int]], ...]:
 # The isotropic-flag construction
 
 
-class IsotropicFlag(Frozen):
+class IsotropicFlag(Value):
+    _compared = attrgetter("spaces")
+
     def __init__(self, spaces: Tuple[Matrix, ...]):
         spaces = tuple(_freeze(m) for m in spaces)
         dims = [len(m) for m in spaces]
@@ -301,15 +294,7 @@ class IsotropicFlag(Frozen):
         for small, big in zip(spaces, spaces[1:]):
             if not _span_subset(small, big):
                 raise UnsupportedInputError("flag spaces are not nested")
-        object.__setattr__(self, "spaces", spaces)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.spaces == other.spaces
-
-    def __hash__(self):
-        return hash(self.spaces)
+        self._store(spaces=spaces)
 
     def dimensions(self) -> Tuple[int, ...]:
         return tuple(len(m) for m in self.spaces)
@@ -360,8 +345,7 @@ class DRecursionReport(Frozen):
         chain_solutions: Tuple[Tuple[int, Tuple[int, ...]], ...],
         final_candidates: Tuple[Tuple[int, int], ...],
     ):
-        object.__setattr__(self, "chain_solutions", chain_solutions)
-        object.__setattr__(self, "final_candidates", final_candidates)
+        self._store(chain_solutions=chain_solutions, final_candidates=final_candidates)
 
     @property
     def empty(self) -> bool:
@@ -518,10 +502,7 @@ def verify_section(kind: str, space, source, produced) -> bool:
 
 class TrialReport(Frozen):
     def __init__(self, kind: str, trials: int, passed: int, failure: Optional[Dict[str, str]]):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "failure", failure)
+        self._store(kind=kind, trials=trials, passed=passed, failure=failure)
 
     @property
     def ok(self) -> bool:

@@ -17,9 +17,10 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Tuple
 
-from .errors import Frozen, UnsupportedInputError
+from .errors import UnsupportedInputError, Value
 
 FAMILIES = ("A", "B", "C", "D", "G2")
 
@@ -29,7 +30,9 @@ FAMILIES = ("A", "B", "C", "D", "G2")
 MAX_RANK = 61
 
 
-class DynkinDiagram(Frozen):
+class DynkinDiagram(Value):
+    _compared = attrgetter("family", "rank")
+
     def __init__(self, family: str, rank: int):
         if family not in FAMILIES:
             raise UnsupportedInputError(f"unknown family {family!r}")
@@ -37,16 +40,7 @@ class DynkinDiagram(Frozen):
             raise UnsupportedInputError(f"G2 has rank 2, not {rank}")
         if not 1 <= rank <= MAX_RANK:
             raise UnsupportedInputError(f"rank {rank} outside the supported 1..{MAX_RANK}")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "rank", rank)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.family == other.family and self.rank == other.rank
-
-    def __hash__(self):
-        return hash((self.family, self.rank))
+        self._store(family=family, rank=rank)
 
     def __str__(self):
         return f"{self.family}{self.rank}" if self.family != "G2" else "G2"
@@ -128,23 +122,16 @@ def require_stored(d: DynkinDiagram, instead: str) -> None:
             )
 
 
-class MarkedDiagram(Frozen):
+class MarkedDiagram(Value):
+    _compared = attrgetter("diagram", "marked")
+
     def __init__(self, diagram: DynkinDiagram, marked: FrozenSet[int]):
         require_stored(diagram, "mark")
         marked = frozenset(marked)
         bad = [i for i in marked if i not in diagram.nodes]
         if bad:
             raise UnsupportedInputError(f"marked nodes {bad} outside 1..{diagram.rank}")
-        object.__setattr__(self, "diagram", diagram)
-        object.__setattr__(self, "marked", marked)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.diagram == other.diagram and self.marked == other.marked
-
-    def __hash__(self):
-        return hash((self.diagram, self.marked))
+        self._store(diagram=diagram, marked=marked)
 
     def __str__(self):
         inner = ",".join(str(i) for i in sorted(self.marked))
@@ -163,8 +150,10 @@ def parse_marked(text: str) -> MarkedDiagram:
     if not m:
         raise UnsupportedInputError(f"cannot parse marked diagram {text!r}")
     d = parse_diagram(m.group(1))
-    inner = m.group(2).strip()
-    nodes = frozenset(int(x) for x in inner.split(",") if x.strip()) if inner else frozenset()
+    try:
+        nodes = frozenset(int(x) for x in m.group(2).split(",") if x.strip())
+    except ValueError:  # digits split by whitespace, as in "A3(1 2)", or too long for int
+        raise UnsupportedInputError(f"cannot parse marked diagram {text!r}") from None
     if not nodes:
         raise UnsupportedInputError("a variety needs at least one marked node")
     return MarkedDiagram(d, nodes)
@@ -295,25 +284,17 @@ def apply_automorphism(sigma: Tuple[int, ...], nodes) -> FrozenSet[int]:
 # Node deletion
 
 
-class Component(Frozen):
+class Component(Value):
     """A connected component of a node deletion, re-identified as classical.
 
     nodes[k] is the parent diagram's label of the component's own node k+1;
     parent_nodes, the same labels as a set, is derived and not compared.
     """
 
+    _compared = attrgetter("diagram", "nodes")
+
     def __init__(self, diagram: DynkinDiagram, nodes: Tuple[int, ...]):
-        object.__setattr__(self, "diagram", diagram)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "parent_nodes", frozenset(nodes))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.diagram == other.diagram and self.nodes == other.nodes
-
-    def __hash__(self):
-        return hash((self.diagram, self.nodes))
+        self._store(diagram=diagram, nodes=nodes, parent_nodes=frozenset(nodes))
 
     def own_node(self, parent: int) -> int:
         return self.nodes.index(parent) + 1

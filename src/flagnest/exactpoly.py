@@ -63,8 +63,7 @@ class GaussRat(Frozen):
     form (int where integral, else Fraction)."""
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_rational(re))
-        object.__setattr__(self, "im", _as_rational(im))
+        self._store(re=_as_rational(re), im=_as_rational(im))
 
     @staticmethod
     def of(value) -> "GaussRat":

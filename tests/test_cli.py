@@ -192,10 +192,15 @@ def test_explain_json(capsys):
     assert "generator_degrees" in doc["degree_ledger"]
 
 
-def test_explain_unsupported_shape_exits_two(capsys):
-    code, _, err = run(capsys, "explain", "D4(1,3)")
-    assert code == 2
-    assert "unsupported input" in err
+@pytest.mark.parametrize(
+    "variety",
+    ["D4(1,3)", "A3(1 2)", "D4(1\t2)", "A3(1\n2)"],
+    ids=["no-shape", "space-separated", "tab-separated", "newline-separated"],
+)
+def test_explain_unsupported_shape_exits_two(capsys, variety):
+    code, out, err = run(capsys, "explain", variety)
+    assert code == 2 and out == ""
+    assert err.startswith("flagnest: unsupported input: ") and err.count("\n") == 1
 
 
 def test_verify_construction_b3_defaults(capsys):

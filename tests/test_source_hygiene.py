@@ -1,8 +1,9 @@
 """Source hygiene of the package: no dead definitions, public or private, no
 unused imports, no unread parameters, no hand-rolled memo tables, no
-module but the CLI importing the acceptance oracles, and those oracles
+module but the CLI importing the acceptance oracles, those oracles
 taking from the classifier only the query type, its two entry points
-and the canonical marks.
+and the canonical marks, and the comparison rule of the value types
+written once, in `errors`.
 
 A module-level function or class, or a method in a class body, that nothing
 in the package refers to is code no decision, CLI verb or self-check
@@ -162,3 +163,34 @@ def test_acceptance_reads_only_the_classifier_entry_points():
         if isinstance(node, ast.Import):
             assert not any(alias.name.endswith("classifier") for alias in node.names)
     assert imported == {"NestingQuery", "classify", "enumerate_nestings", "_canonical_marks"}
+
+
+def test_value_types_compare_only_through_errors():
+    """`errors.Value` holds the one `__eq__` and `__hash__` of the value
+    types and `errors.Frozen` the one field store: no module calls
+    `object.__setattr__`, every class on `Value` names its compared fields
+    in `_compared`, and no class on `Frozen` or `Value` writes its own
+    `__eq__` or `__hash__` (it may set `__hash__ = None`), except `GaussRat`,
+    which also equals an int or a Fraction."""
+    found = []
+    for mod, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
+                found.append(f"{mod}: object.__setattr__")
+            if not isinstance(node, ast.ClassDef) or node.name in ("Value", "GaussRat"):
+                continue
+            bases = {ast.unparse(base) for base in node.bases}
+            if not bases & {"Frozen", "Value"}:
+                continue
+            # the body's methods and assignments, each with its source
+            body = {}
+            for stmt in node.body:
+                if isinstance(stmt, ast.FunctionDef):
+                    body[stmt.name] = "def"
+                elif isinstance(stmt, ast.Assign):
+                    body.update((ast.unparse(t), ast.unparse(stmt.value)) for t in stmt.targets)
+            if "Value" in bases and "_compared" not in body:
+                found.append(f"{mod}.{node.name}: no _compared")
+            if "__eq__" in body or body.get("__hash__", "None") != "None":
+                found.append(f"{mod}.{node.name}: own __eq__ or __hash__")
+    assert found == []
