@@ -16,7 +16,7 @@ from __future__ import annotations
 import gc
 from fractions import Fraction
 from itertools import combinations
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
 
@@ -33,13 +33,12 @@ from .dynkin import (
     Component,
     DynkinDiagram,
     apply_automorphism,
-    cartan_matrix,
+    closed_neighborhoods,
     component_containing,
     coxeter_number,
     diagram,
     diagram_automorphisms,
     marked,
-    neighbors,
     nontrivial_automorphisms,
     require_stored,
     restriction_tag,
@@ -562,12 +561,19 @@ def _canonical_marks(
     """The least (kept, forgotten) pair of sorted mark tuples over the orbit of
     the diagram's symmetries, and the first symmetry reaching it; the symmetry
     is None when the given pair is already least."""
+    return _least_marks(nontrivial_automorphisms(d), kept, forgotten)
+
+
+def _least_marks(
+    symmetries: Tuple[Marks, ...], kept: Marks, forgotten: Marks
+) -> Tuple[Tuple[Marks, Marks], Optional[Marks]]:
+    """_canonical_marks over the given nontrivial automorphisms."""
     best, best_sigma = (kept, forgotten), None
-    for sigma in nontrivial_automorphisms(d):
-        cand = (
-            tuple(sorted([sigma[i - 1] for i in kept])),
-            tuple(sorted([sigma[j - 1] for j in forgotten])),
-        )
+    for sigma in symmetries:
+        cand_i = tuple(sorted([sigma[i - 1] for i in kept]))
+        if cand_i > best[0]:
+            continue  # no image of the forgotten marks makes this pair less
+        cand = (cand_i, tuple(sorted([sigma[j - 1] for j in forgotten])))
         if cand < best:
             best, best_sigma = cand, sigma
     return best, best_sigma
@@ -707,10 +713,12 @@ def _canonical_decision(store: _Store, d: DynkinDiagram, kept: Marks, forgotten:
     decision is made here, and here its closing rule is checked: a positive
     decision closes on a construction, a negative one on a computation or a
     recorded fact."""
-    key = (d.family, d.rank, kept, forgotten)
-    pair = store.pairs.get(key)
-    if pair is not None:
-        return pair
+    one_mark = len(forgotten) == 1  # the only decisions a store keeps
+    if one_mark:
+        key = (d.family, d.rank, kept, forgotten)
+        pair = store.pairs.get(key)
+        if pair is not None:
+            return pair
     result, steps = _decide(store, d, kept, forgotten)
     if not steps:
         raise InternalInconsistencyError("decision without a trace")
@@ -720,7 +728,7 @@ def _canonical_decision(store: _Store, d: DynkinDiagram, kept: Marks, forgotten:
             f"a {result!r} decision must close on a rule of _CLOSERS, got {closing!r}"
         )
     pair = store.pair(result, steps)
-    if len(forgotten) == 1:
+    if one_mark:
         store.pairs[key] = pair
     return pair
 
@@ -738,7 +746,7 @@ def _decide(store: _Store, d: DynkinDiagram, kept: Marks, forgotten: Marks) -> T
     if len(kept) > 1:
         return _decide_many_marked(store, d, kept, j)
     i = kept[0]
-    if len(neighbors(d, i)) > 1:
+    if len(closed_neighborhoods(d)[i - 1]) > 2:
         return _decide_interior_mark(store, d, i, j)
     return _decide_extremal(store, d, i, j)
 
@@ -793,10 +801,6 @@ def _triality_exclusion(
         lambda: {"diagram": str(d), "I": list(kept), "J": list(forgotten)},
     )
     return NOT_EXISTS, steps
-
-
-def _touches(cart, node: int, parent_nodes) -> bool:
-    return any(cart[node - 1][p - 1] != 0 for p in parent_nodes)
 
 
 PositiveEntry = Tuple[Tuple[int, int], str, str, Tuple[Tuple[int, int], ...]]
@@ -876,15 +880,17 @@ def _curve_tag_step(
 
 
 def _decide_many_marked(store: _Store, d: DynkinDiagram, kept: Marks, j: int) -> Tuple[str, list]:
-    cart = cartan_matrix(d)
+    """Restrict to the fibers over each kept mark that borders the component
+    of j left by deleting every kept mark: exactly the marks whose return
+    joins j's component."""
     steps: list = []
-    home = component_containing(d, kept, j)
-    anchors = [i1 for i1 in kept if _touches(cart, i1, home.parent_nodes)]
-    if not anchors:
-        raise InternalInconsistencyError("some marked node must border the kept component")
-    for i1 in anchors:
+    anchored = False
+    for i1 in kept:
         others = [i2 for i2 in kept if i2 != i1]
         comp = component_containing(d, others, j)
+        if i1 not in comp.parent_nodes:
+            continue
+        anchored = True
         sub = comp.diagram
         own_i, own_j = comp.own_node(i1), comp.own_node(j)
         if not _subquery_step(
@@ -900,11 +906,14 @@ def _decide_many_marked(store: _Store, d: DynkinDiagram, kept: Marks, j: int) ->
             sub, (own_i,), (own_j,),
         ):
             return NOT_EXISTS, steps
+        closed = closed_neighborhoods(d)  # a node touches a component its entry meets
         for i2 in others:
-            if not _touches(cart, i2, comp.parent_nodes):
+            if closed[i2 - 1].isdisjoint(comp.parent_nodes):
                 continue
             if _curve_tag_step(store, steps, d, comp, i1, j, i2):
                 return NOT_EXISTS, steps
+    if not anchored:
+        raise InternalInconsistencyError("some marked node must border the kept component")
     return _triality_exclusion(
         store, d, kept, (j,), steps, "tag symmetry survived outside the triality orbit"
     )
@@ -929,7 +938,7 @@ def _decide_interior_mark(store: _Store, d: DynkinDiagram, i: int, j: int) -> Tu
         comp.diagram, (own_i,), (own_j,),
     ):
         return NOT_EXISTS, steps
-    i2 = min(nb for nb in neighbors(d, i) if nb not in bar.parent_nodes)
+    i2 = min(closed_neighborhoods(d)[i - 1] - bar.parent_nodes - {i})
     if not _curve_tag_step(store, steps, d, comp, i, j, i2):
         raise InternalInconsistencyError("an interior mark produced a fiber-constant tag")
     return NOT_EXISTS, steps
@@ -1005,17 +1014,19 @@ def _mark_pairs(d: DynkinDiagram, mode: str):
                     yield (i,), (j,)
         return
     for size in range(2, min(4, d.rank) + 1):
-        # positions of the kept and forgotten marks within a union, by bitmask
+        # the kept and forgotten marks of a union, picked by their positions
+        # in it through a bitmask; a lone position is picked as a slice,
+        # which keeps it a tuple
         splits = [
-            (
-                [t for t in range(size) if bits >> t & 1],
-                [t for t in range(size) if not bits >> t & 1],
-            )
+            [
+                itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1))
+                for at in ([t for t in range(size) if (bits >> t & 1) == side] for side in (1, 0))
+            ]
             for bits in range(1, 2 ** size - 1)
         ]
         for union in combinations(nodes, size):
-            for kept_at, forgotten_at in splits:
-                yield tuple([union[t] for t in kept_at]), tuple([union[t] for t in forgotten_at])
+            for kept_of, forgotten_of in splits:
+                yield kept_of(union), forgotten_of(union)
 
 
 def enumerate_nestings(max_rank: int, mode: str = "singletons") -> dict:
@@ -1027,7 +1038,9 @@ def enumerate_nestings(max_rank: int, mode: str = "singletons") -> dict:
     canonical labels: a mark pair is decided only when it is its own
     canonical form, straight from its mark tuples, on a diagram built by
     diagram() with marks drawn from its nodes, so no NestingQuery is built
-    for it.
+    for it.  On a diagram without symmetries (B, C) every mark pair is
+    canonical, so the diagram's nontrivial automorphisms are read once and
+    no pair of such a diagram is canonicalized.
 
     Only the result of each decision is read here, so the cascade runs
     against a verdict store local to the call (_Verdicts): it builds no
@@ -1061,8 +1074,9 @@ def enumerate_nestings(max_rank: int, mode: str = "singletons") -> dict:
     exists_rows = []
     total = 0
     for d in diagrams:
+        symmetries = nontrivial_automorphisms(d)
         for kept, forgotten in _mark_pairs(d, mode):
-            if _canonical_marks(d, kept, forgotten)[1] is not None:
+            if symmetries and _least_marks(symmetries, kept, forgotten)[1] is not None:
                 continue  # decided under its canonical marks, which d also yields
             total += 1
             if _canonical_decision(store, d, kept, forgotten)[0] == EXISTS:

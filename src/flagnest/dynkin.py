@@ -18,7 +18,7 @@ import functools
 import itertools
 import re
 from operator import attrgetter
-from typing import Dict, FrozenSet, List, Tuple
+from typing import FrozenSet, List, Tuple
 
 from .errors import UnsupportedInputError, Value
 
@@ -50,6 +50,13 @@ class DynkinDiagram(Value):
         return range(1, self.rank + 1)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
+def _stored(family: str, rank: int) -> DynkinDiagram:
+    """The one instance of each stored diagram (see the memo note below);
+    typed, so a rank of another type that compares equal stays apart."""
+    return DynkinDiagram(family, rank)
+
+
 def diagram(family: str, rank: int) -> DynkinDiagram:
     """Validated, normalized diagram constructor.
 
@@ -60,32 +67,32 @@ def diagram(family: str, rank: int) -> DynkinDiagram:
     family = family.upper()
     if family == "G" or family == "G2":
         if family == "G2" or rank == 2:
-            return DynkinDiagram("G2", 2)
+            return _stored("G2", 2)
         raise UnsupportedInputError("G2 is the only supported exceptional diagram")
     if rank > MAX_RANK:
         raise UnsupportedInputError(f"rank {rank} is above the supported maximum {MAX_RANK}")
     if family == "A":
         if rank < 1:
             raise UnsupportedInputError("A requires rank >= 1")
-        return DynkinDiagram("A", rank)
+        return _stored("A", rank)
     if family == "B":
         if rank < 2:
             raise UnsupportedInputError("B requires rank >= 2")
-        return DynkinDiagram("B", rank)
+        return _stored("B", rank)
     if family == "C":
         if rank < 2:
             raise UnsupportedInputError("C requires rank >= 2")
         if rank == 2:
-            return DynkinDiagram("B", 2)
-        return DynkinDiagram("C", rank)
+            return _stored("B", 2)
+        return _stored("C", rank)
     if family == "D":
         if rank == 2:
             raise UnsupportedInputError("D2 is disconnected")
         if rank < 2:
             raise UnsupportedInputError("D requires rank >= 3")
         if rank == 3:
-            return DynkinDiagram("A", 3)
-        return DynkinDiagram("D", rank)
+            return _stored("A", 3)
+        return _stored("D", rank)
     raise UnsupportedInputError(f"unknown family {family!r}")
 
 
@@ -116,7 +123,7 @@ def require_stored(d: DynkinDiagram, instead: str) -> None:
     check is constant time."""
     if d.family in ("B", "C", "D") and d.rank < 4:
         stored = diagram(d.family, d.rank)  # refuses B1, C1, D1 and D2 itself
-        if stored != d:
+        if stored is not d and stored != d:
             raise UnsupportedInputError(
                 f"{d} is stored as {stored}; {instead} {stored} so the node labels are unambiguous"
             )
@@ -150,9 +157,10 @@ def parse_marked(text: str) -> MarkedDiagram:
     if not m:
         raise UnsupportedInputError(f"cannot parse marked diagram {text!r}")
     d = parse_diagram(m.group(1))
+    inner = m.group(2)
     try:
-        nodes = frozenset(int(x) for x in m.group(2).split(",") if x.strip())
-    except ValueError:  # digits split by whitespace, as in "A3(1 2)", or too long for int
+        nodes = frozenset(int(x) for x in inner.split(",")) if inner.strip() else frozenset()
+    except ValueError:  # an empty item, as in "A3(1,)", digits split by whitespace, or too long
         raise UnsupportedInputError(f"cannot parse marked diagram {text!r}") from None
     if not nodes:
         raise UnsupportedInputError("a variety needs at least one marked node")
@@ -165,9 +173,10 @@ def parse_marked(text: str) -> MarkedDiagram:
 
 # Pure functions of a diagram are memoized with functools.cache and return
 # immutable values (tuples and Frozen value types), so every caller shares
-# one copy and none can change it.  _COMPONENTS interns deletion components:
-# many deletions of one diagram leave equal components, and each is kept once.
-_COMPONENTS: Dict["Component", "Component"] = {}
+# one copy and none can change it.  Diagrams are interned: diagram() and the
+# deletion components build each stored diagram once, through _stored, so a
+# memo keyed on a diagram finds it by identity and never calls __eq__, and
+# deletion components are interned the same way, through _component.
 
 
 @functools.cache
@@ -200,9 +209,10 @@ def cartan_matrix(d: DynkinDiagram) -> Tuple[Tuple[int, ...], ...]:
     return tuple(map(tuple, c))
 
 
-def neighbors(d: DynkinDiagram, node: int) -> List[int]:
-    c = cartan_matrix(d)
-    return [j for j in d.nodes if j != node and c[node - 1][j - 1] != 0]
+@functools.cache
+def closed_neighborhoods(d: DynkinDiagram) -> Tuple[FrozenSet[int], ...]:
+    """Entry i - 1 is node i with its neighbors: the nodes j with C[i][j] != 0."""
+    return tuple(frozenset(j for j, cij in enumerate(row, 1) if cij) for row in cartan_matrix(d))
 
 
 def fundamental_degrees(d: DynkinDiagram) -> List[int]:
@@ -301,6 +311,13 @@ class Component(Value):
 
 
 @functools.cache
+def _component(family: str, rank: int, nodes: Tuple[int, ...]) -> Component:
+    """The one instance of each deletion component: many deletions of one
+    diagram leave equal components, and each is kept once."""
+    return Component(_stored(family, rank), nodes)
+
+
+@functools.cache
 def _components(d: DynkinDiagram, removed: FrozenSet[int]) -> Tuple[Component, ...]:
     """Connected components of the induced subdiagram on nodes - removed, in
     the order of their least node.
@@ -321,20 +338,20 @@ def _components(d: DynkinDiagram, removed: FrozenSet[int]) -> Tuple[Component, .
         m = len(run)
         if run[-1] == n - 2 and forks:
             if len(forks) == 2 and m == 1:
-                comps.append(Component(DynkinDiagram("A", 3), (n - 1, n - 2, n)))
+                comps.append(_component("A", 3, (n - 1, n - 2, n)))
             else:
                 kind = "D" if len(forks) == 2 else "A"
-                comps.append(Component(DynkinDiagram(kind, m + len(forks)), run + forks))
+                comps.append(_component(kind, m + len(forks), run + forks))
             forks = ()
         elif run[-1] == n and family == "C" and m == 2:
             # C2 is stored as B2, its two nodes swapped
-            comps.append(Component(DynkinDiagram("B", 2), run[::-1]))
+            comps.append(_component("B", 2, run[::-1]))
         elif run[-1] == n and family != "A" and m >= 2:
-            comps.append(Component(DynkinDiagram(family, m), run))
+            comps.append(_component(family, m, run))
         else:
-            comps.append(Component(DynkinDiagram("A", m), run))
-    comps += [Component(DynkinDiagram("A", 1), (f,)) for f in forks]
-    return tuple(_COMPONENTS.setdefault(c, c) for c in comps)
+            comps.append(_component("A", m, run))
+    comps += [_component("A", 1, (f,)) for f in forks]
+    return tuple(comps)
 
 
 def component_containing(d: DynkinDiagram, removed, node: int) -> Component:

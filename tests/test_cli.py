@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import resource
@@ -7,6 +9,8 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flagnest import classifier, cli
 from flagnest.acceptance import CheckResult
@@ -194,8 +198,11 @@ def test_explain_json(capsys):
 
 @pytest.mark.parametrize(
     "variety",
-    ["D4(1,3)", "A3(1 2)", "D4(1\t2)", "A3(1\n2)"],
-    ids=["no-shape", "space-separated", "tab-separated", "newline-separated"],
+    ["D4(1,3)", "A3(1 2)", "D4(1\t2)", "A3(1\n2)", "A3(1,,2)", "A3(,1)", "A3(1,)"],
+    ids=[
+        "no-shape", "space-separated", "tab-separated", "newline-separated",
+        "empty-middle-item", "empty-first-item", "empty-last-item",
+    ],
 )
 def test_explain_unsupported_shape_exits_two(capsys, variety):
     code, out, err = run(capsys, "explain", variety)
@@ -415,3 +422,53 @@ def test_importing_the_cli_generates_no_code():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# Node lists as users mistype them, on a diagram of rank 0, 3 or 62: items
+# that are empty or padded with whitespace, repeated nodes, the nodes 0 and
+# n + 1, and ints far past any rank (the last too long for int()).  Node n
+# itself is left out: the classify call below keeps or forgets it.
+_PADDING = st.sampled_from(["", " ", "\t", "  "])
+
+
+def _node_list_case(name_rank):
+    name, rank = name_rank
+    nodes = st.sampled_from([0, *range(1, rank), rank + 1, 10**30]).map(str) | st.just("9" * 5000)
+    item = st.just("") | st.tuples(_PADDING, nodes, _PADDING).map("".join)
+    return st.tuples(st.just(name_rank), st.lists(item, min_size=1, max_size=4).map(",".join))
+
+
+_NODE_LIST_CASES = st.sampled_from([("A0", 0), ("A3", 3), ("B3", 3), ("A62", 62)]).flatmap(
+    _node_list_case
+)
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@example((("A3", 3), "1,,2"))
+@example((("A3", 3), ",1"))
+@example((("A3", 3), "1,"))
+@given(_NODE_LIST_CASES)
+def test_explain_and_classify_read_node_lists_alike(case):
+    (name, rank), nodes = case
+    calls = {
+        "explain": ["explain", f"{name}({nodes})"],
+        "kept": ["classify", "--diagram", name, "--marked", nodes, "--unmark", str(rank)],
+        "forgotten": ["classify", "--diagram", name, "--marked", str(rank), "--unmark", nodes],
+    }
+    accepted = {}
+    for verb, argv in calls.items():
+        code, out, err = _call(argv)
+        assert code in (0, 2, 64), (argv, code, err)
+        assert "Traceback" not in err, argv
+        assert _call(argv) == (code, out, err), argv
+        accepted[verb] = code == 0
+    # the list either names nodes of the diagram or it does not, whichever
+    # verb reads it
+    assert len(set(accepted.values())) == 1, (calls, accepted)

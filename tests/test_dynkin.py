@@ -6,7 +6,11 @@ The reference root list below and the Cartan-matrix component oracle are
 independent of how `dynkin` builds components and counts Levi roots."""
 
 import copy
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -17,6 +21,7 @@ from flagnest.cohomology import degree_ledger, presentation
 from flagnest.dynkin import (
     apply_automorphism,
     cartan_matrix,
+    closed_neighborhoods,
     component_containing,
     coxeter_number,
     diagram,
@@ -398,3 +403,67 @@ def test_components_compare_without_their_node_set():
     twin = copy.deepcopy(comp)
     twin.__dict__["parent_nodes"] = frozenset()
     assert twin == comp and hash(twin) == hash(comp)
+
+
+def test_stored_diagrams_are_interned():
+    for d in _diagrams_up_to(12):
+        assert diagram(d.family, d.rank) is d
+        assert diagram(d.family.lower(), d.rank) is d
+    assert diagram("C", 2) is diagram("B", 2) and diagram("D", 3) is diagram("A", 3)
+    assert parse_diagram("D5") is diagram("D", 5) and parse_marked("G2(1)").diagram is diagram("G2", 2)
+    # a raw diagram is validated and compares by value, but is not the stored one
+    raw = dynkin.DynkinDiagram("A", 3)
+    assert raw == diagram("A", 3) and raw is not diagram("A", 3)
+    with pytest.raises(UnsupportedInputError):
+        dynkin.DynkinDiagram("A", 62)
+
+
+def test_deletion_components_hold_the_stored_diagrams():
+    seen = {}
+    for d in _diagrams_up_to(9):
+        for size in range(d.rank + 1):
+            for removed in combinations(d.nodes, size):
+                for comp in dynkin._components(d, frozenset(removed)):
+                    sub = comp.diagram
+                    assert sub is diagram(sub.family, sub.rank), (d, removed)
+                    # equal components of different deletions are one instance
+                    assert seen.setdefault((sub.family, sub.rank, comp.nodes), comp) is comp
+
+
+def test_closed_neighborhoods_are_each_node_with_its_neighbors():
+    for d in _diagrams_up_to(12):
+        table = closed_neighborhoods(d)
+        assert table is closed_neighborhoods(d) and len(table) == d.rank
+        c = cartan_matrix(d)
+        for i in d.nodes:
+            linked = {j for j in d.nodes if j != i and c[i - 1][j - 1] != 0}
+            assert table[i - 1] == {i} | linked, (d, i)
+
+
+_COUNT_DIAGRAM_COMPARISONS = """
+from flagnest import classifier, dynkin, errors
+compare = errors.Value.__eq__
+calls = []
+
+def counting(self, other):
+    if type(self) is type(other) is dynkin.DynkinDiagram:
+        calls.append((self, other))
+    return compare(self, other)
+
+errors.Value.__eq__ = counting
+classifier.enumerate_nestings(8, "all-subsets")
+print(len(calls))
+"""
+
+
+def test_cold_enumeration_compares_no_two_diagrams():
+    # every diagram the sweep meets is the stored instance, so each memo
+    # keyed on a diagram is found by identity; a fresh process keeps the
+    # memos cold
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_DIAGRAM_COMPARISONS],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "0\n"

@@ -2,8 +2,9 @@
 unused imports, no unread parameters, no hand-rolled memo tables, no
 module but the CLI importing the acceptance oracles, those oracles
 taking from the classifier only the query type, its two entry points
-and the canonical marks, and the comparison rule of the value types
-written once, in `errors`.
+and the canonical marks, the comparison rule of the value types
+written once, in `errors`, and no module but `dynkin` building a raw
+`DynkinDiagram`.
 
 A module-level function or class, or a method in a class body, that nothing
 in the package refers to is code no decision, CLI verb or self-check
@@ -112,9 +113,9 @@ def test_every_parameter_is_read():
 
 
 # Module-level mutable containers that are not pure memos: the CLI's verb
-# table, the classifier's decision cache (it stores one-mark decisions only,
-# under two keys) and dynkin's intern table for deletion components.
-MUTABLE_GLOBALS = {"cli._HANDLERS", "classifier._DECISION_CACHE", "dynkin._COMPONENTS"}
+# table and the classifier's decision cache (it stores one-mark decisions
+# only, under two keys).
+MUTABLE_GLOBALS = {"cli._HANDLERS", "classifier._DECISION_CACHE"}
 
 
 def test_no_module_level_mutable_container_but_the_allowed_ones():
@@ -193,4 +194,20 @@ def test_value_types_compare_only_through_errors():
                 found.append(f"{mod}.{node.name}: no _compared")
             if "__eq__" in body or body.get("__hash__", "None") != "None":
                 found.append(f"{mod}.{node.name}: own __eq__ or __hash__")
+    assert found == []
+
+
+def test_only_dynkin_builds_a_raw_diagram():
+    """`dynkin` interns the stored diagrams: `diagram()` and the deletion
+    components build each one once, so a memo keyed on a diagram finds it
+    by identity.  A `DynkinDiagram(...)` call in another module would bring
+    back equal but distinct diagrams, each one compared field by field on
+    every memo lookup."""
+    found = [
+        f"{mod}: line {node.lineno}"
+        for mod, tree in _modules().items()
+        if mod != "dynkin"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "DynkinDiagram"
+    ]
     assert found == []
