@@ -266,21 +266,31 @@ def obstruct_first_node(family: str, n: int, r: int) -> ObstructionOutcome:
         reason = None
         if pe.degree is None or pe.degree > r:
             reason = "quotient-degree-exceeds-rank"
+        elif family == "A":
+            if pf.degree is not None and pf.degree > n - r + 1:
+                reason = "subbundle-degree-exceeds-corank"
         else:
             a = exact_div(pe, one_plus_t)
             if a is None:
-                reason = "no-hyperplane-class-factor"
-            elif family == "A":
-                if pf.degree is not None and pf.degree > n - r + 1:
-                    reason = "subbundle-degree-exceeds-corank"
-            else:
-                k = exact_div(pf.substitute_neg(), one_minus_t * a.substitute_neg())
-                if k is None:
-                    reason = "no-isotropic-complement-factor"
-                elif any(c != 0 for deg, c in enumerate(k.coeffs) if deg % 2 == 1):
-                    reason = "odd-terms-in-even-factor"
-                elif k.degree is not None and k.degree > 2 * (n - r):
-                    reason = "even-factor-degree-exceeds-corank"
+                # never: h is even here, so 1 + t divides 1 - t^h; were it
+                # not a factor of P_E, 1 - t would divide P_F and P_F(1) = 0,
+                # yet every P_F kept by the sweep has nonnegative
+                # coefficients and constant term 1
+                raise InternalInconsistencyError(f"{pe} lacks the factor 1 + t")
+            k = exact_div(pf.substitute_neg(), one_minus_t * a.substitute_neg())
+            if k is None:
+                # rejects nothing up to rank 61, but no argument is known:
+                # for h = 8 the split P_E = 1 + t + t^2 + t^3,
+                # P_F = 1 + t + t^4 + t^5 has nonnegative coefficients, fits
+                # the degree bounds and has no such factor; only the nef
+                # check drops it, with witnesses (2,1,1) and (3,1)
+                reason = "no-isotropic-complement-factor"
+            elif any(c != 0 for deg, c in enumerate(k.coeffs) if deg % 2 == 1):
+                # never: k = [(1 - t^h)/(1 - t^2)] / [a(t) a(-t)] is a
+                # quotient of two even polynomials, so it is even
+                raise InternalInconsistencyError(f"even factor {k} has odd terms")
+            elif k.degree is not None and k.degree > 2 * (n - r):
+                reason = "even-factor-degree-exceeds-corank"
         if reason is None and family in ("A", "C") and r == 3 and pe.degree == 3:
             # the minimal-mark variety is a projective space for these two
             # families, so the rank-three integrality constraint applies
@@ -316,12 +326,9 @@ def obstruct_first_node(family: str, n: int, r: int) -> ObstructionOutcome:
             },
         )
     )
-    if survivors:
-        expected = (family == "A" and n % 2 == 1 and r == n) or (family, n, r) == ("B", 3, 3)
-        if not expected:
-            raise InternalInconsistencyError(
-                f"unexpected factorization survivor for {family}{n}(1,{r})"
-            )
+    expected = (family == "A" and n % 2 == 1 and r == n) or (family, n, r) == ("B", 3, 3)
+    if survivors and not expected:
+        raise InternalInconsistencyError(f"unexpected factorization survivor for {d}(1,{r})")
     return ObstructionOutcome(not survivors, tuple(steps), tuple(survivors))
 
 
@@ -1051,16 +1058,16 @@ def enumerate_nestings(max_rank: int, mode: str = "singletons") -> dict:
     decided is posed to classify() as a validated NestingQuery, which keeps
     its full trace in _DECISION_CACHE.
 
-    After each diagram the cyclic collector runs once and then every object
-    alive in the process, not only this module's, is frozen (gc.freeze), so
-    later collections skip it.  That is safe here: what survives a finished
-    diagram is the verdict store, the few traced decisions of posed
-    subqueries, the functools memos of the diagram combinatorics and
-    kernels, and module state.  All but the verdict store live until exit
-    anyway, and the store is freed by reference counting when the call
-    returns: frozen objects still are, and only a frozen object that later
-    becomes part of an unreachable cycle stays until exit.  Without the
-    freeze every full collection walks those memos again and frees nothing.
+    The cyclic collector runs once, first, so no garbage of the caller's
+    is frozen; deciding makes no reference cycle.  After each diagram every
+    object alive in the process, not only this module's, is frozen
+    (gc.freeze), so later collections skip it.  What survives a diagram is
+    the verdict store, the few traced decisions of posed subqueries, the
+    functools memos of the kernels and module state.  All but the store
+    live until exit anyway, and reference counting frees the store, frozen
+    or not, when the call returns; only a frozen object caught in a cycle
+    later stays until exit.  Without the freeze every full collection walks
+    those memos again and frees nothing.
     """
     if max_rank < 3:
         raise UnsupportedInputError("enumeration needs rank at least 3")
@@ -1073,6 +1080,7 @@ def enumerate_nestings(max_rank: int, mode: str = "singletons") -> dict:
     store = _Verdicts()
     exists_rows = []
     total = 0
+    gc.collect()
     for d in diagrams:
         symmetries = nontrivial_automorphisms(d)
         for kept, forgotten in _mark_pairs(d, mode):
@@ -1081,7 +1089,6 @@ def enumerate_nestings(max_rank: int, mode: str = "singletons") -> dict:
             total += 1
             if _canonical_decision(store, d, kept, forgotten)[0] == EXISTS:
                 exists_rows.append(_query_row(d, kept, forgotten))
-        gc.collect()
         gc.freeze()
     exists_rows.sort(
         key=lambda row: (row["diagram"][0], int(row["diagram"][1:]), row["I"], row["J"])

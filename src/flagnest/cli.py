@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import gc
+import os
 import sys
 from typing import Iterable, Optional, Tuple
 
@@ -37,13 +38,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _node_list(text: str) -> Tuple[int, ...]:
+    parts = text.split(",")
     try:
-        nodes = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated node numbers, got {text!r}"
-        )
-    return nodes
+        # unsigned digits, padded with whitespace at most, as parse_marked reads a node
+        if all(part.strip().isdigit() for part in parts):
+            return tuple(int(part) for part in parts)
+    except ValueError:  # too many digits for int()
+        pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated node numbers, got {text!r}")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -69,18 +71,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("classify", help="decide a single nesting query")
     p.add_argument("--diagram", required=True, help='diagram, e.g. "D5"')
-    p.add_argument(
-        "--marked",
-        required=True,
-        type=_node_list,
-        help="marks kept downstairs, comma-separated",
-    )
-    p.add_argument(
-        "--unmark",
-        required=True,
-        type=_node_list,
-        help="marks the projection forgets, comma-separated",
-    )
+    for flag, marks in (("--marked", "kept downstairs"), ("--unmark", "the projection forgets")):
+        p.add_argument(flag, required=True, type=_node_list, help=f"marks {marks}, comma-separated")
     p.add_argument(
         "--trace",
         action="store_true",
@@ -117,8 +109,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _json(value, indent: Optional[int] = None) -> str:
+    import json  # loaded only by the calls that write JSON
+
+    return json.dumps(value, indent=indent, sort_keys=True)
+
+
 def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json(doc, 2) + "\n"
 
 
 def _marked_str(diagram_name: str, nodes: Iterable[int]) -> str:
@@ -141,7 +139,7 @@ def _cmd_classify(ns) -> Tuple[int, str]:
     lines.append("trace:")
     for idx, step in enumerate(decision.trace, 1):
         if ns.trace:
-            data = json.dumps(step.to_json()["data"], sort_keys=True)
+            data = _json(step.to_json()["data"])
             lines.append(f"  {idx}. {step.rule} [{step.anchor}] {data}")
         else:
             lines.append(f"  {idx}. {step.rule}")
@@ -194,12 +192,9 @@ def _cmd_explain(ns) -> Tuple[int, str]:
 
 
 def _cmd_verify(ns) -> Tuple[int, str]:
-    n = ns.n
-    if ns.kind == "B3":
-        if n is None:
-            n = 3
-        elif n != 3:
-            raise UnsupportedInputError("the B3 construction has rank 3 only")
+    n = 3 if ns.kind == "B3" and ns.n is None else ns.n
+    if ns.kind == "B3" and n != 3:
+        raise UnsupportedInputError("the B3 construction has rank 3 only")
     report = section_trials(ns.kind, n, ns.trials, ns.seed)
     if ns.format == "json":
         doc = {
@@ -214,7 +209,7 @@ def _cmd_verify(ns) -> Tuple[int, str]:
         return (0 if report.ok else 1), _dump(doc)
     if report.ok:
         return 0, "pass\n"
-    witness = json.dumps(report.failure, sort_keys=True)
+    witness = _json(report.failure)
     return 1, f"fail\n{witness}\n"
 
 
@@ -246,7 +241,14 @@ _HANDLERS = {
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError:
+            # what is still buffered is flushed again at exit: send it nowhere
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+            raise
         return
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -279,5 +281,13 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    # the console script: main() leaves the process as it found it, and the
+    # objects it leaves alive are frozen so that teardown does not collect them
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

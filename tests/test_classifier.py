@@ -1,6 +1,7 @@
 import copy
 import gc
 import json
+import re
 from itertools import combinations
 
 import pytest
@@ -442,6 +443,25 @@ def test_first_node_pipeline():
         obstruct_first_node("G2", 2, 2)
 
 
+# Two first-node filters are proved never to reject, so a split that would
+# trip one can only come from a broken sweep; B3 has h = 6 and r = 2 admits
+# a quotient of degree 2.
+@pytest.mark.parametrize(
+    "pe,pf,message",
+    [
+        ([1, 1, 1], [1], "lacks the factor 1 + t"),  # no factor 1 + t in P_E
+        ([1, 1], [1, 0, -1], "has odd terms"),  # k = P_F(-t) / (1 - t) = 1 + t
+    ],
+    ids=["hyperplane-class-factor", "even-factor-parity"],
+)
+def test_first_node_invariants_raise_on_a_crafted_split(monkeypatch, pe, pf, message):
+    monkeypatch.setattr(
+        classifier, "factor_unit_minus_tk", lambda h, ambient: ((UniPoly(pe), UniPoly(pf)),)
+    )
+    with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
+        obstruct_first_node("B", 3, 2)
+
+
 def test_last_node_pipeline():
     assert not obstruct_last_node("D", 6, 5).obstructed
     assert not obstruct_last_node("D", 4, 1).obstructed
@@ -557,6 +577,25 @@ def test_enumeration_caches_only_one_mark_decisions_and_freezes_them():
     # frozen objects sit in the permanent generation, which get_objects skips
     collected = {id(obj) for obj in gc.get_objects()}
     assert not any(id(dec) in collected for dec in cache.values())
+
+
+@pytest.mark.parametrize("max_rank,mode", [(12, "singletons"), (8, "all-subsets")])
+def test_enumeration_leaves_no_cyclic_garbage(monkeypatch, max_rank, mode):
+    # enumeration collects once, before its first diagram, and not after
+    # each one: deciding makes no reference cycle, so a per-diagram
+    # collection would free nothing.  With the freeze patched out every
+    # object stays visible to the collector, which is kept off meanwhile.
+    monkeypatch.setattr(gc, "freeze", lambda: None)
+    classifier._DECISION_CACHE.clear()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        enumerate_nestings(max_rank, mode)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("max_rank,mode", [(8, "all-subsets"), (12, "singletons")])

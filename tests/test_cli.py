@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -337,6 +338,26 @@ def test_unwritable_out_is_an_io_error(capsys, tmp_path):
     assert err == f"flagnest: cannot write {target}: No such file or directory\n"
 
 
+def test_closed_stdout_pipe_is_an_io_error():
+    # without PYTHONUNBUFFERED stdout is block-buffered, so the output lands
+    # in the buffer and only a flush meets the pipe whose read end is closed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "flagnest.cli", "classify", "--diagram", "A4",
+             "--marked", "1", "--unmark", "4"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 74
+    assert proc.stderr == "flagnest: cannot write stdout: Broken pipe\n"
+
+
 def test_internal_inconsistency_exits_seventy(capsys, monkeypatch):
     def broken(ns):
         raise InternalInconsistencyError("degree ledger disagrees")
@@ -424,16 +445,36 @@ def test_importing_the_cli_generates_no_code():
     assert proc.stdout == "[]\n"
 
 
+def test_importing_the_cli_loads_no_json():
+    # only a call that writes JSON pays for importing json
+    proc = _fresh_python("-c", "import sys, flagnest.cli; print('json' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    # the console script freezes what is left alive before teardown; main()
+    # itself changes nothing process-wide
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "classify", "--diagram", "D5", "--marked", "4", "--unmark", "5")[0] == 0
+    assert gc.get_freeze_count() == frozen
+
+
 # Node lists as users mistype them, on a diagram of rank 0, 3 or 62: items
 # that are empty or padded with whitespace, repeated nodes, the nodes 0 and
-# n + 1, and ints far past any rank (the last too long for int()).  Node n
-# itself is left out: the classify call below keeps or forgets it.
+# n + 1, signed nodes, and ints far past any rank (the last too long for
+# int()).  Node n itself is left out: the classify call below keeps or
+# forgets it.
 _PADDING = st.sampled_from(["", " ", "\t", "  "])
 
 
 def _node_list_case(name_rank):
     name, rank = name_rank
-    nodes = st.sampled_from([0, *range(1, rank), rank + 1, 10**30]).map(str) | st.just("9" * 5000)
+    nodes = (
+        st.sampled_from([0, *range(1, rank), rank + 1, 10**30]).map(str)
+        | st.sampled_from(["+1", "-0"])
+        | st.just("9" * 5000)
+    )
     item = st.just("") | st.tuples(_PADDING, nodes, _PADDING).map("".join)
     return st.tuples(st.just(name_rank), st.lists(item, min_size=1, max_size=4).map(",".join))
 
@@ -454,6 +495,8 @@ def _call(argv):
 @example((("A3", 3), "1,,2"))
 @example((("A3", 3), ",1"))
 @example((("A3", 3), "1,"))
+@example((("A3", 3), "+1"))
+@example((("A3", 3), "-0"))
 @given(_NODE_LIST_CASES)
 def test_explain_and_classify_read_node_lists_alike(case):
     (name, rank), nodes = case
