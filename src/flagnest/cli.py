@@ -25,7 +25,7 @@ from .acceptance import run_all
 from .classifier import NestingQuery, classify, enumerate_nestings
 from .cohomology import degree_ledger, presentation
 from .constructions import section_trials
-from .dynkin import parse_diagram, parse_marked
+from .dynkin import parse_diagram, parse_marked, read_nodes
 from .errors import InternalInconsistencyError, UnsupportedInputError
 
 
@@ -36,16 +36,19 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(64, f"{self.prog}: error: {message}\n")
 
+    def exit(self, status=0, message=None):
+        # argparse exits 0 only once --help or --version is printed: flush
+        # stdout as a verb's output is flushed, so a closed pipe exits 74
+        if status == 0 and _emit("", None):
+            status = 74
+        super().exit(status, message)
+
 
 def _node_list(text: str) -> Tuple[int, ...]:
-    parts = text.split(",")
-    try:
-        # unsigned digits, padded with whitespace at most, as parse_marked reads a node
-        if all(part.strip().isdigit() for part in parts):
-            return tuple(int(part) for part in parts)
-    except ValueError:  # too many digits for int()
-        pass
-    raise argparse.ArgumentTypeError(f"expected comma-separated node numbers, got {text!r}")
+    nodes = read_nodes(text)
+    if nodes is None:
+        raise argparse.ArgumentTypeError(f"expected comma-separated node numbers, got {text!r}")
+    return nodes
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -239,19 +242,27 @@ _HANDLERS = {
 }
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out is None:
-        try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        except OSError:
-            # what is still buffered is flushed again at exit: send it nowhere
-            with open(os.devnull, "wb") as null:
-                os.dup2(null.fileno(), sys.stdout.fileno())
-            raise
-        return
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _emit(text: str, out: Optional[str]) -> int:
+    """Write text to stdout, or to the file `out`: 0 when written, else 74
+    after one stderr line."""
+    try:
+        if out is None:
+            try:
+                sys.stdout.write(text)
+                sys.stdout.flush()
+            except OSError:
+                # what is still buffered is flushed again at exit: send it nowhere
+                with open(os.devnull, "wb") as null:
+                    os.dup2(null.fileno(), sys.stdout.fileno())
+                raise
+        else:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        target = "stdout" if out is None else out
+        print(f"flagnest: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return 74
+    return 0
 
 
 def main(argv=None) -> int:
@@ -272,13 +283,7 @@ def main(argv=None) -> int:
     except InternalInconsistencyError as exc:
         print(f"flagnest: internal error: {exc}", file=sys.stderr)
         return 70
-    try:
-        _emit(text, ns.out)
-    except OSError as exc:
-        target = "stdout" if ns.out is None else ns.out
-        print(f"flagnest: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
-        return 74
-    return code
+    return _emit(text, ns.out) or code
 
 
 def run() -> None:

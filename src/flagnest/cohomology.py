@@ -27,7 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .dynkin import DynkinDiagram, MarkedDiagram, diagram, marked
 from .errors import InternalInconsistencyError, UnsupportedInputError, Value
-from .exactpoly import GradedPoly, Scalar, UniPoly, _add_products, _div, coeff_plus
+from .exactpoly import GradedPoly, Scalar, _add_products, _cleaned, _div
 from .linalg import rank
 
 _CLASSICAL = ("A", "B", "C", "D")
@@ -71,25 +71,52 @@ class GradedPresentation(Value):
 
 
 # ---------------------------------------------------------------------------
-# Series helpers.  All the relation sets are Coeff_+ of products of these.
+# Series helpers.  A series over a presentation's ring is a tuple of
+# GradedPoly coefficients, the index being the power of t.  All the relation
+# sets are Coeff_+ of products of these.
+
+Series = Tuple[GradedPoly, ...]
 
 
 def _one(gens) -> GradedPoly:
     return GradedPoly.const(gens, 1)
 
 
-def _series(gens, names_by_power: Mapping[int, str], top: int) -> UniPoly:
-    """1 + sum(gen * t^power) as a univariate polynomial with graded coefficients."""
+def _series(gens, names_by_power: Mapping[int, str], top: int) -> Series:
+    """1 + sum(gen * t^power), through t^top."""
     cs = [_one(gens)]
     for p in range(1, top + 1):
         name = names_by_power.get(p)
         cs.append(GradedPoly.generator(gens, name) if name else GradedPoly.zero(gens))
-    return UniPoly(cs)
+    return tuple(cs)
 
 
-def _coeff_plus_relations(product: UniPoly) -> List[GradedPoly]:
-    cs = coeff_plus(product)
-    return [cs[d] for d in sorted(cs)]
+def _neg(s: Series) -> Series:
+    """s(-t): flip the sign of every odd-degree coefficient."""
+    return tuple(-c if k % 2 else c for k, c in enumerate(s))
+
+
+def _product(*series: Series) -> Series:
+    """The product of series over one ring, taken left to right.  In each
+    step every term product that lands in a slot is added into that slot's
+    one dict, normalized once; a slot that no product reaches, or whose sum
+    cancels, is the zero GradedPoly."""
+    acc = series[0]
+    gens = acc[0].gens
+    for s in series[1:]:
+        out = [{} for _ in range(len(acc) + len(s) - 1)]
+        right = [(j, b.terms.items()) for j, b in enumerate(s) if b]
+        for i, a in enumerate(acc):
+            if a:
+                for j, b_terms in right:
+                    _add_products(out[i + j], a.terms.items(), b_terms)
+        acc = tuple(GradedPoly._make(gens, _cleaned(slot)) for slot in out)
+    return acc
+
+
+def _coeff_plus_relations(product: Series) -> List[GradedPoly]:
+    """The nonzero coefficients of positive degree, in increasing degree."""
+    return [c for c in product[1:] if c]
 
 
 def _mark_shape(v: MarkedDiagram) -> Tuple[str, Optional[int]]:
@@ -154,7 +181,7 @@ def _top_presentation(v: MarkedDiagram) -> GradedPresentation:
     family, n = v.diagram.family, v.diagram.rank
     table = tuple((f"Q{i}", i) for i in range(1, n + 1))
     q = _series(table, {i: f"Q{i}" for i in range(1, n + 1)}, n)
-    rels = _coeff_plus_relations(q * q.substitute_neg())
+    rels = _coeff_plus_relations(_product(q, _neg(q)))
     if family == "D":
         rels.append(GradedPoly.generator(table, f"Q{n}"))
     return GradedPresentation(v, table, tuple(rels))
@@ -172,8 +199,7 @@ def _first_presentation(v: MarkedDiagram, r: int) -> GradedPresentation:
         h = GradedPoly.generator(table, "h")
         a = _series(table, {i: f"a{i}" for i in range(1, r)}, r - 1)
         s = _series(table, {i: f"s{i}" for i in range(1, n - r + 2)}, n - r + 1)
-        line = UniPoly([_one(table), h])
-        rels = _coeff_plus_relations(line * a * s)
+        rels = _coeff_plus_relations(_product((_one(table), h), a, s))
         return GradedPresentation(v, table, tuple(rels))
     gens = (
         [("h", 1)]
@@ -186,8 +212,8 @@ def _first_presentation(v: MarkedDiagram, r: int) -> GradedPresentation:
     h = GradedPoly.generator(table, "h")
     a = _series(table, {i: f"a{i}" for i in range(1, r)}, r - 1)
     k = _series(table, {2 * i: f"k{2 * i}" for i in range(1, n - r + 1)}, 2 * (n - r))
-    even_line = UniPoly([_one(table), GradedPoly.zero(table), -(h * h)])
-    rels = _coeff_plus_relations(even_line * a * a.substitute_neg() * k)
+    even_line = (_one(table), GradedPoly.zero(table), -(h * h))
+    rels = _coeff_plus_relations(_product(even_line, a, _neg(a), k))
     if family == "D":
         a_top = GradedPoly.generator(table, f"a{r - 1}")
         rels.append(h * a_top * GradedPoly.generator(table, f"eta{n - r}"))
@@ -207,7 +233,7 @@ def _last_presentation(v: MarkedDiagram, r: int) -> GradedPresentation:
     table = last_flag_generators(n, r)
     q = _series(table, {i: f"q{i}" for i in range(1, r + 1)}, r)
     b = _series(table, {i: f"b{i}" for i in range(1, n - r + 1)}, n - r)
-    rels = _coeff_plus_relations(q * q.substitute_neg() * b * b.substitute_neg())
+    rels = _coeff_plus_relations(_product(q, _neg(q), b, _neg(b)))
     if family == "D":
         rels.append(
             GradedPoly.generator(table, f"q{r}") * GradedPoly.generator(table, f"b{n - r}")
@@ -252,27 +278,21 @@ def pullback_identities_check(family: str, n: int, r: int) -> bool:
         left = _factor_product(table, names[:split], sign=1)
         right = _factor_product(table, names[split:], sign=1)
         full = _factor_product(table, names, sign=1)
-        return left * right == full
+        return _product(left, right) == full
     names = [f"x{j}" for j in range(2, n + 1)]
     table = tuple((nm, 1) for nm in names)
     split = r - 1
     a = _factor_product(table, names[:split], sign=1)
-    a_neg = a.substitute_neg()
     k = _factor_product(table, names[split:], sign=-1)
     full = _factor_product(table, names, sign=-1)
-    return a * a_neg * k == full
+    return _product(a, _neg(a), k) == full
 
 
-def _factor_product(table, names: Sequence[str], sign: int) -> UniPoly:
+def _factor_product(table, names: Sequence[str], sign: int) -> Series:
     """prod(1 + x t) when sign=1, prod(1 - x^2 t^2) when sign=-1."""
-    acc = UniPoly([_one(table)])
-    for nm in names:
-        x = GradedPoly.generator(table, nm)
-        if sign == 1:
-            acc = acc * UniPoly([_one(table), x])
-        else:
-            acc = acc * UniPoly([_one(table), GradedPoly.zero(table), -(x * x)])
-    return acc
+    one, zero = _one(table), GradedPoly.zero(table)
+    xs = [GradedPoly.generator(table, nm) for nm in names]
+    return _product((one,), *[(one, x) if sign == 1 else (one, zero, -(x * x)) for x in xs])
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +571,10 @@ def pullback_product_collapse_check(family: str, n: int, r: int) -> bool:
     h = GradedPoly.generator(table, "h")
     a = _series(table, {i: f"a{i}" for i in range(1, r)}, r - 1)
     k = _series(table, {2 * i: f"k{2 * i}" for i in range(1, n - r + 1)}, 2 * (n - r))
-    product = a * a.substitute_neg() * k
+    product = _product(a, _neg(a), k)
     for d in range(1, 2 * n - 1):
         target = h**d if d % 2 == 0 else GradedPoly.zero(table)
-        delta = product.coeff(d) - target
+        delta = product[d] - target
         if not in_relation_slice(p, delta):
             return False
     return True

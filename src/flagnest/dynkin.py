@@ -18,7 +18,7 @@ import functools
 import itertools
 import re
 from operator import attrgetter
-from typing import FrozenSet, List, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from .errors import UnsupportedInputError, Value
 
@@ -110,8 +110,12 @@ def parse_diagram(text: str) -> DynkinDiagram:
         return diagram("G2", 2)
     if rank is None:
         raise UnsupportedInputError(f"missing rank in {text!r}")
-    d = diagram(fam, int(rank))
-    require_stored(DynkinDiagram(fam, int(rank)), "write")
+    try:
+        rank = int(rank)
+    except ValueError:  # too many digits for int()
+        raise UnsupportedInputError(f"cannot parse diagram {text!r}") from None
+    d = diagram(fam, rank)
+    require_stored(DynkinDiagram(fam, rank), "write")
     return d
 
 
@@ -158,13 +162,24 @@ def parse_marked(text: str) -> MarkedDiagram:
         raise UnsupportedInputError(f"cannot parse marked diagram {text!r}")
     d = parse_diagram(m.group(1))
     inner = m.group(2)
-    try:
-        nodes = frozenset(int(x) for x in inner.split(",")) if inner.strip() else frozenset()
-    except ValueError:  # an empty item, as in "A3(1,)", digits split by whitespace, or too long
-        raise UnsupportedInputError(f"cannot parse marked diagram {text!r}") from None
-    if not nodes:
+    if not inner.strip():
         raise UnsupportedInputError("a variety needs at least one marked node")
-    return MarkedDiagram(d, nodes)
+    nodes = read_nodes(inner)
+    if nodes is None:
+        raise UnsupportedInputError(f"cannot parse marked diagram {text!r}")
+    return MarkedDiagram(d, frozenset(nodes))
+
+
+def read_nodes(text: str) -> Optional[Tuple[int, ...]]:
+    """The nodes of a comma-separated list whose every item is unsigned
+    digits padded with whitespace at most, in order; else None."""
+    parts = text.split(",")
+    if all(part.strip().isdigit() for part in parts):
+        try:
+            return tuple(int(part) for part in parts)
+        except ValueError:  # too many digits for int()
+            pass
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,10 @@ rationals are pairs of rationals in the same normal form.
 
 Two polynomial types:
 
-* ``UniPoly`` -- dense univariate polynomials in one variable ``t``.  The
-  coefficients are duck-typed: plain rationals for numeric work, but also
-  ``GaussRat`` or ``GradedPoly`` values (a Chern polynomial whose
-  coefficients live in a graded cohomology ring is a ``UniPoly`` with
-  ``GradedPoly`` coefficients).
+* ``UniPoly`` -- dense univariate polynomials over Q in one variable ``t``.
+  A Chern series whose coefficients live in a graded cohomology ring is not
+  a ``UniPoly``: ``cohomology`` holds it as a tuple of ``GradedPoly``
+  coefficients.
 * ``GradedPoly`` -- sparse multivariate polynomials over Q with a weighted
   degree per generator, used for cohomology ring presentations.
 
@@ -130,16 +129,9 @@ class GaussRat(Frozen):
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
-def _coerce_coeff(c):
-    if isinstance(c, (int, Fraction)):
-        return _as_rational(c)
-    if isinstance(c, float):
-        raise TypeError("polynomial coefficients must be exact, got a float")
-    return c
-
-
 class UniPoly:
-    """Dense univariate polynomial in t, ascending coefficient order.
+    """Dense univariate polynomial in t over Q, ascending coefficient order;
+    every coefficient is an int where integral, else a Fraction.
 
     >>> p = UniPoly([1, 2, 2, 1])
     >>> print(p)
@@ -153,7 +145,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_coerce_coeff(c) for c in coeffs]
+        cs = [_as_rational(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -205,35 +197,13 @@ class UniPoly:
             return UniPoly([c * other for c in self.coeffs])
         if self.is_zero() or other.is_zero():
             return UniPoly()
-        gens = _graded_table(self.coeffs, other.coeffs)
-        if gens is not None:
-            return self._graded_product(other, gens)
-        # None marks a slot no product has reached yet, so the first product
-        # lands as is instead of being added to a rational zero
-        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        right = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
-                prev = out[i + j]
-                out[i + j] = a * b if prev is None else prev + a * b
-        return UniPoly([0 if c is None else c for c in out])
-
-    def _graded_product(self, other: "UniPoly", gens: tuple) -> "UniPoly":
-        """The product when every nonzero coefficient is a GradedPoly over
-        `gens`: every term product that lands in a slot is added into that
-        slot's one dict, normalized once.  A slot that no product reaches is
-        an int 0, as in the general loop."""
-        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
-        right = [(j, b.terms.items()) for j, b in enumerate(other.coeffs) if b]
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b_terms in right:
-                out[i + j] = _add_products(out[i + j] or {}, a.terms.items(), b_terms)
-        return UniPoly([0 if acc is None else GradedPoly._make(gens, _cleaned(acc)) for acc in out])
+            if a:
+                for j, b in right:
+                    out[i + j] += a * b
+        return UniPoly(out)
 
     def substitute_neg(self) -> "UniPoly":
         """Return p(-t): flip the sign of every odd-degree coefficient."""
@@ -256,7 +226,7 @@ class UniPoly:
                 parts.append(("+", str(c)))
                 continue
             var = "t" if k == 1 else f"t^{k}"
-            negative = isinstance(c, (int, Fraction)) and c < 0
+            negative = c < 0
             mag = -c if negative else c
             body = var if mag == 1 else f"{mag}{var}"
             parts.append(("-" if negative else "+", body))
@@ -268,28 +238,6 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)!r})"
-
-
-def _graded_table(*coeff_lists) -> Optional[tuple]:
-    """The generator table shared by every nonzero coefficient, when all of
-    them are GradedPoly over one table; else None."""
-    gens = None
-    for coeffs in coeff_lists:
-        for c in coeffs:
-            if not c:
-                continue
-            if type(c) is not GradedPoly:
-                return None
-            if gens is None:
-                gens = c.gens
-            elif c.gens is not gens and c.gens != gens:
-                return None
-    return gens
-
-
-def coeff_plus(p: UniPoly) -> dict:
-    """All nonzero coefficients of strictly positive degree, as {degree: value}."""
-    return {k: c for k, c in enumerate(p.coeffs) if k > 0 and c != 0}
 
 
 def exact_div(p: UniPoly, q: UniPoly) -> Optional[UniPoly]:
@@ -406,18 +354,11 @@ class GradedPoly:
                 del terms[expo]
         return GradedPoly._make(self.gens, terms)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return GradedPoly._make(self.gens, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GradedPoly.const(self.gens, other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return GradedPoly.const(self.gens, other) + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -448,8 +389,6 @@ class GradedPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return not self.terms
             other = GradedPoly.const(self.gens, other)
         if isinstance(other, GradedPoly):
             return self.gens == other.gens and self.terms == other.terms

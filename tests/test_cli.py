@@ -338,22 +338,34 @@ def test_unwritable_out_is_an_io_error(capsys, tmp_path):
     assert err == f"flagnest: cannot write {target}: No such file or directory\n"
 
 
-def test_closed_stdout_pipe_is_an_io_error():
-    # without PYTHONUNBUFFERED stdout is block-buffered, so the output lands
-    # in the buffer and only a flush meets the pipe whose read end is closed
+def _into_closed_pipe(*argv):
+    """Run the CLI with stdout a pipe whose read end is closed.  Without
+    PYTHONUNBUFFERED stdout is block-buffered, so the output lands in the
+    buffer and only a flush meets the closed pipe."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "flagnest.cli", "classify", "--diagram", "A4",
-             "--marked", "1", "--unmark", "4"],
+        return subprocess.run(
+            [sys.executable, "-m", "flagnest.cli", *argv],
             stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60, env=env,
         )
     finally:
         os.close(write_end)
+
+
+def test_closed_stdout_pipe_is_an_io_error():
+    proc = _into_closed_pipe("classify", "--diagram", "A4", "--marked", "1", "--unmark", "4")
+    assert proc.returncode == 74
+    assert proc.stderr == "flagnest: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.parametrize("flag", ["--version", "--help"])
+def test_closed_stdout_pipe_on_version_and_help_is_an_io_error(flag):
+    # argparse prints these inside parse_args; they are written as a verb's output is
+    proc = _into_closed_pipe(flag)
     assert proc.returncode == 74
     assert proc.stderr == "flagnest: cannot write stdout: Broken pipe\n"
 
@@ -515,3 +527,111 @@ def test_explain_and_classify_read_node_lists_alike(case):
     # the list either names nodes of the diagram or it does not, whichever
     # verb reads it
     assert len(set(accepted.values())) == 1, (calls, accepted)
+
+
+# Argv for every verb, as users mistype it: diagram aliases (C2, D3), a
+# diagram stored under no name (D2), G and G2, ranks 0, 62 and past int()'s
+# digit limit; node lists that overlap; --format and --out, the latter
+# naming a file, a directory or a file in a missing directory; the edges of
+# --trials, --n and --max-rank; --version and --help.  Every computing argv
+# stays at rank 6 or below, and --trials is always given, so that no call
+# runs the default 100 trials.  self-check gets malformed argv only: the
+# battery itself runs in tests/test_acceptance.py.  Hypothesis spends about
+# 1 ms on each example, more than main() does, so each position of an argv
+# is one draw: whole node lists, and one shared tail of --format and --out.
+_HUGE = "9" * 5000
+_DIAGRAM_NAMES = [
+    "A1", "A3", "A6", "B2", "B3", "B6", "C3", "C6", "D4", "D6", "G", "G2", "g2", "b3",
+    " B3 ", "C2", "D3", "D2", "A0", "B62", "D62", "A" + "9" * 30, "A" + _HUGE, "E6", "X3", "",
+]
+_NODE_LISTS = [
+    "0", "1", "2", "3", "4", "6", "7", "62", "9" * 30, _HUGE, "+1", "-1", "", " 2 ", "1 2", "x",
+    "1,2", "2,1", "1,1", "1,3", "1,4", "2,3", "2,4", "3,6", "4,5", "5,6", "1,2,3", "1,2,3,4,5,6",
+    "1,62", "2,+1", "1,", ",1", "1,,2", " 1 , 2 ",
+]
+_TAILS = st.sampled_from([
+    [*fmt, *out]
+    for fmt in ([], ["--format", "text"], ["--format", "json"], ["--format", "xml"])
+    for out in ([], ["--out", "{file}"], ["--out", "{dir}"], ["--out", "{missing}"])
+])
+_CLASSIFY = st.builds(
+    lambda d, kept, forgotten, trace, tail: ["classify", "--diagram", d, "--marked", kept,
+                                             "--unmark", forgotten, *trace, *tail],
+    st.sampled_from(_DIAGRAM_NAMES), st.sampled_from(_NODE_LISTS), st.sampled_from(_NODE_LISTS),
+    st.sampled_from([[], ["--trace"]]), _TAILS,
+)
+_ENUMERATE = st.builds(
+    lambda rank, mode, tail: ["enumerate", "--max-rank", rank, *mode, *tail],
+    st.sampled_from(["-1", "0", "1", "2", "3", "4", "62", "9" * 30, _HUGE, "x", "4.0", ""]),
+    st.sampled_from([[], ["--mode", "singletons"], ["--mode", "all-subsets"], ["--mode", "pairs"]]),
+    _TAILS,
+)
+_EXPLAIN = st.builds(
+    lambda variety, tail: ["explain", *variety, *tail],
+    st.sampled_from(
+        [[f"{d}({nodes})"] for d in _DIAGRAM_NAMES for nodes in _NODE_LISTS]
+        + [[v] for v in ("B3", "B3(", "B3()", "B3(1", "(1)", "B3[1]", "B3(1)(2)", "")] + [[]]
+    ),
+    _TAILS,
+)
+_VERIFY = st.builds(
+    lambda kind_n, trials, seed, tail: ["verify-construction", *kind_n, "--trials", trials, *seed, *tail],
+    st.sampled_from([
+        [kind, *n]
+        for kind in ("A", "B3", "D", "E")
+        for n in ([], *(["--n", n] for n in ("-1", "0", "1", "2", "3", "62", "9" * 30, "x")))
+    ]),
+    st.sampled_from(["-1", "0", "1", "2", "x", "1.5", ""]),
+    st.sampled_from([[], ["--seed", "0"], ["--seed", "-7"], ["--seed", "9" * 30], ["--seed", "x"]]),
+    _TAILS,
+)
+_SELF_CHECK = st.builds(
+    lambda bad, tail: ["self-check", bad, *tail],
+    st.sampled_from(["--bogus", "extra", "--format", "--format=xml", "--out", "--trials=1"]),
+    _TAILS,
+)
+_PLAIN = st.sampled_from(
+    [["--version"], ["--help"], ["-h"], [], ["frobnicate"], ["--version", "classify"], ["--format", "json"]]
+    + [[verb, "--help"] for verb in ("classify", "enumerate", "explain", "verify-construction", "self-check")]
+    + [["classify", "--diagram", "A3", "--marked", "1"], ["classify", "--marked", "1", "--unmark", "2"],
+       ["classify", "--diagram", "A3", "--marked", "1", "--unmark", "2", "--marked", "2"]]
+)
+
+
+@pytest.fixture(scope="module")
+def out_paths(tmp_path_factory):
+    base = tmp_path_factory.mktemp("out")
+    return {"{file}": str(base / "out.txt"), "{dir}": str(base), "{missing}": str(base / "missing" / "x")}
+
+
+@settings(derandomize=True, max_examples=2000, deadline=None)
+@example(["classify", "--diagram", "A" + _HUGE, "--marked", "1", "--unmark", "2"])
+@example(["explain", f"B{_HUGE}(1)"])
+@example(["classify", "--diagram", "D6", "--marked", "5", "--unmark", "6", "--trace", "--format", "json"])
+@example(["enumerate", "--max-rank", "4", "--mode", "all-subsets", "--format", "json", "--out", "{file}"])
+@example(["explain", "D4(1,3)", "--format", "json"])
+@example(["verify-construction", "D", "--n", "3", "--trials", "1", "--format", "json"])
+@example(["explain", "A3(1)", "--out", "{dir}"])
+@example(["--version"])
+@example(["--help"])
+@given(st.one_of(_CLASSIFY, _ENUMERATE, _EXPLAIN, _VERIFY, _SELF_CHECK, _PLAIN))
+def test_every_verb_answers_any_argv_with_a_documented_exit(out_paths, argv):
+    argv = [out_paths.get(arg, arg) for arg in argv]
+    code, out, err = _call(argv)
+    assert code in (0, 1, 2, 64, 74), (argv, code, err)
+    assert "Traceback" not in err, argv
+    if argv[:1] == ["self-check"] and argv[1:2] != ["--help"]:
+        assert code == 64, argv
+    written = None
+    if code == 0 and "--out" in argv:
+        with open(argv[argv.index("--out") + 1], encoding="utf-8") as fh:
+            written = fh.read()
+    # identical argv, identical bytes, whatever the calls before it
+    assert _call(argv) == (code, out, err), argv
+    if written is not None:
+        with open(argv[argv.index("--out") + 1], encoding="utf-8") as fh:
+            assert fh.read() == written, argv
+        assert out == "", argv
+    if code == 0 and "--format" in argv and argv[argv.index("--format") + 1] == "json":
+        doc = json.loads(out if written is None else written)
+        assert doc["schema"] == "flagnest/1", argv

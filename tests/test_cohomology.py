@@ -2,10 +2,14 @@ import gc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flagnest.acceptance import _reference_elimination
 from flagnest.cohomology import (
     GradedPresentation,
+    _coeff_plus_relations,
+    _product,
     degree_ledger,
     eliminate_even_generators,
     eliminated_target,
@@ -30,6 +34,69 @@ def rel_by_degree(p):
     for r in p.relations:
         out.setdefault(r.homogeneous_degree(), []).append(r)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Series over a presentation's ring: tuples of GradedPoly coefficients
+
+
+def test_series_product_with_graded_coefficients():
+    gens = (("u", 1), ("v", 1))
+    u = GradedPoly.generator(gens, "u")
+    v = GradedPoly.generator(gens, "v")
+    one = GradedPoly.const(gens, 1)
+    p = _product((one, u), (one, v))
+    assert p == (one, u + v, u * v)
+    assert _coeff_plus_relations(p) == [u + v, u * v]
+
+
+def test_coeff_plus_strictly_positive_degrees():
+    gens = (("u", 1),)
+    s = tuple(GradedPoly.const(gens, c) for c in (5, 0, 3, 0, -1))
+    want = [GradedPoly.const(gens, Fraction(3)), GradedPoly.const(gens, Fraction(-1))]
+    assert _coeff_plus_relations(s) == want
+
+
+GRADED_GENS = (("u", 1), ("v", 2))
+graded_coeffs = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    max_size=3,
+).map(lambda terms: GradedPoly(GRADED_GENS, terms))
+
+
+def _coefficientwise_product(a, b):
+    """Slot k is the GradedPoly sum of a[i]*b[k-i] over all pairs, starting
+    from the zero GradedPoly."""
+    out = []
+    for k in range(len(a) + len(b) - 1):
+        acc = GradedPoly.zero(GRADED_GENS)
+        for i in range(len(a)):
+            if 0 <= k - i < len(b):
+                acc = acc + a[i] * b[k - i]
+        out.append(acc)
+    return tuple(out)
+
+
+def _typed(coeffs):
+    return [(type(c), c.gens, {e: (v, type(v)) for e, v in c.terms.items()}) for c in coeffs]
+
+
+@given(st.lists(graded_coeffs, min_size=1, max_size=5), st.lists(graded_coeffs, min_size=1, max_size=5))
+def test_series_product_equals_coefficientwise_reference(a, b):
+    got = _product(tuple(a), tuple(b))
+    assert _typed(got) == _typed(_coefficientwise_product(a, b))
+
+
+def test_series_product_coefficients_are_graded_in_unreached_and_cancelled_slots():
+    one, u, v = (GradedPoly.const(GRADED_GENS, 1), *(GradedPoly.generator(GRADED_GENS, x) for x in "uv"))
+    zero = GradedPoly.zero(GRADED_GENS)
+    # slots 1 and 3 are never reached by a product of nonzero coefficients
+    got = _product((one, zero, -u), (one, zero, v))
+    assert _typed(got) == _typed((one, zero, v - u, zero, -(u * v)))
+    # slot 1 is reached, and its sum cancels
+    got = _product((one, u), (one, -u))
+    assert _typed(got) == _typed((one, zero, -(u * u)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Exact arithmetic layer: Gaussian rationals, dense univariate polynomials
-(plain and with graded-ring coefficients), and graded multivariate
-polynomials."""
+over Q, graded multivariate polynomials, and the products of series with
+graded coefficients that the presentations are built from."""
 
 import operator
 import random
@@ -14,10 +14,9 @@ from flagnest.exactpoly import (
     GaussRat,
     GradedPoly,
     UniPoly,
-    coeff_plus,
     exact_div,
 )
-from flagnest.cohomology import GradedPresentation, in_relation_slice, slice_dimension
+from flagnest.cohomology import GradedPresentation, _neg, _product, in_relation_slice, slice_dimension
 from flagnest.dynkin import diagram, marked
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -96,11 +95,6 @@ def test_unipoly_str_signs():
     assert str(UniPoly([0, Fraction(1, 3), 2])) == "1/3t + 2t^2"
 
 
-def test_coeff_plus_strictly_positive_degrees():
-    p = UniPoly([5, 0, 3, 0, -1])
-    assert coeff_plus(p) == {2: Fraction(3), 4: Fraction(-1)}
-
-
 @given(small_polys, small_polys)
 def test_exact_div_inverts_multiplication(p, q):
     if q.is_zero():
@@ -111,68 +105,6 @@ def test_exact_div_inverts_multiplication(p, q):
 def test_exact_div_rejects_inexact():
     assert exact_div(UniPoly([1, 1, 1]), UniPoly([1, 1])) is None
     assert exact_div(UniPoly([1, 0, 0, 0, 0, 0, -1]), UniPoly([1, 1])) is not None
-
-
-def test_unipoly_with_graded_coefficients():
-    gens = (("u", 1), ("v", 1))
-    u = GradedPoly.generator(gens, "u")
-    v = GradedPoly.generator(gens, "v")
-    one = GradedPoly.const(gens, 1)
-    p = UniPoly([one, u]) * UniPoly([one, v])
-    assert p.coeff(0) == one
-    assert p.coeff(1) == u + v
-    assert p.coeff(2) == u * v
-    assert coeff_plus(p) == {1: u + v, 2: u * v}
-
-
-GRADED_GENS = (("u", 1), ("v", 2))
-graded_coeffs = st.one_of(
-    st.just(0),
-    st.dictionaries(
-        st.tuples(st.integers(0, 2), st.integers(0, 2)),
-        st.fractions(min_value=-4, max_value=4, max_denominator=3),
-        max_size=3,
-    ).map(lambda terms: GradedPoly(GRADED_GENS, terms)),
-)
-
-
-def _coefficientwise_product(a, b):
-    """Slot k is the GradedPoly sum of a[i]*b[k-i] over the nonzero pairs,
-    or an int 0 when no such pair exists; trailing zeros stripped."""
-    out = []
-    for k in range(len(a) + len(b) - 1):
-        products = [a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b) and a[i] and b[k - i]]
-        acc = products[0] if products else 0
-        for prod in products[1:]:
-            acc = acc + prod
-        out.append(acc)
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
-def _typed(coeffs):
-    return [
-        (type(c), {e: (v, type(v)) for e, v in c.terms.items()} if isinstance(c, GradedPoly) else c)
-        for c in coeffs
-    ]
-
-
-@given(st.lists(graded_coeffs, min_size=1, max_size=5), st.lists(graded_coeffs, min_size=1, max_size=5))
-def test_unipoly_graded_product_equals_coefficientwise_reference(a, b):
-    got = UniPoly(a) * UniPoly(b)
-    want = _coefficientwise_product(UniPoly(a).coeffs, UniPoly(b).coeffs)
-    assert _typed(got.coeffs) == _typed(want)
-
-
-def test_unipoly_graded_product_keeps_int_zero_in_unreached_slots():
-    one, u, v = (GradedPoly.const(GRADED_GENS, 1), *(GradedPoly.generator(GRADED_GENS, x) for x in "uv"))
-    zero = GradedPoly.zero(GRADED_GENS)
-    got = UniPoly([one, zero, -u]) * UniPoly([one, 0, v])
-    assert _typed(got.coeffs) == _typed((one, 0, v - u, 0, -(u * v)))
-    # a slot that products reach but whose sum cancels is an empty GradedPoly
-    got = UniPoly([one, u]) * UniPoly([one, -u])
-    assert _typed(got.coeffs) == _typed((one, zero, -(u * u)))
 
 
 def test_graded_poly_ring_basics():
@@ -328,6 +260,17 @@ def test_float_coefficients_are_rejected():
         UniPoly([1, 0.5])
 
 
+@pytest.mark.parametrize(
+    "coeff", [GradedPoly.const(REF_GENS, 1), GaussRat(1), GaussRat(0, 1)], ids=["graded", "gauss-real", "gauss"]
+)
+def test_unipoly_holds_rationals_only(coeff):
+    # a series over a graded ring is a coefficient tuple in cohomology, never a UniPoly
+    with pytest.raises(TypeError):
+        UniPoly([coeff])
+    with pytest.raises(TypeError):
+        UniPoly([1, 1]) * coeff
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_unipoly_arithmetic_matches_fraction_reference(seed):
     rng = random.Random(seed)
@@ -385,23 +328,21 @@ def test_exact_div_non_monic_int_divisor():
 
 @pytest.mark.parametrize("seed", range(20))
 def test_unipoly_with_graded_coefficients_matches_reference(seed):
+    # a univariate series with graded-ring coefficients is a coefficient
+    # tuple, multiplied by cohomology._product
     rng = random.Random(seed)
     ta = [_random_terms(rng, size=3, top=2) for _ in range(rng.randint(1, 4))]
     tb = [_random_terms(rng, size=3, top=2) for _ in range(rng.randint(1, 4))]
-    pa = UniPoly([GradedPoly(REF_GENS, t) for t in ta])
-    pb = UniPoly([GradedPoly(REF_GENS, t) for t in tb])
+    pa = tuple(GradedPoly(REF_GENS, t) for t in ta)
+    pb = tuple(GradedPoly(REF_GENS, t) for t in tb)
     want = _ref_umul([_ref(t) for t in ta], [_ref(t) for t in tb], _ref_mul, _ref_add, {})
-    while want and not want[-1]:
-        want.pop()
-    got = pa * pb
-    assert len(got.coeffs) == len(want)
-    for c, w in zip(got.coeffs, want):
-        if isinstance(c, GradedPoly):
-            _assert_matches(c, w)
-        else:
-            assert c == 0 and not w
-    neg = pa.substitute_neg()
-    for k, (c, t) in enumerate(zip(neg.coeffs, ta)):
+    got = _product(pa, pb)
+    assert len(got) == len(want)
+    for c, w in zip(got, want):
+        _assert_matches(c, w)
+    neg = _neg(pa)
+    assert len(neg) == len(pa)
+    for k, (c, t) in enumerate(zip(neg, ta)):
         assert c == GradedPoly(REF_GENS, t) * (-1 if k % 2 else 1)
 
 
